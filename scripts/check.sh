@@ -64,20 +64,17 @@ cmake --build "$BUILD_DIR-asan" \
 ctest --test-dir "$BUILD_DIR-asan" --output-on-failure \
   -R '(Fault|WireFuzz|Journal|Snapshot|Recovery|PersistFuzz|Obs|Prop|Kernel|Shard)'
 
-# TSan pass: the concurrent aggregator/health-tracker and fleet suites are
-# the thread-heavy ones, the resilience suite shares their state machines,
-# and the obs registry is hammered from multiple threads — run all four
-# under ThreadSanitizer. The `Obs` alternate matters: without it the
-# obs_tests binary was built for this stage but only its one
-# Concurrent-prefixed case ever ran. The bitprop suites ride along so the
-# differential oracles (which drive the resilient-collection state
-# machines) also run instrumented.
+# TSan pass: the obs registry is the production state hammered from
+# multiple threads — the `Obs` alternate runs its race tests, including
+# ObsTest.ConcurrentCountersDoNotDropIncrements. The fleet and resilience
+# suites drive the collection state machines, and the bitprop suites ride
+# along so the differential oracles also run instrumented. Keep this regex
+# in sync with the sanitize-thread job in .github/workflows/ci.yml.
 cmake -B "$BUILD_DIR-tsan" -G Ninja -DBITPUSH_SANITIZE=thread
 cmake --build "$BUILD_DIR-tsan" \
-  --target concurrency_tests resilience_tests obs_tests prop_tests \
-  kernel_tests
+  --target fleet_tests resilience_tests obs_tests prop_tests kernel_tests
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-  -R '(Concurrent|Fleet|Resilience|Obs|Prop|Kernel)'
+  -R '(Fleet|Resilience|Obs|Prop|Kernel)'
 
 # Crash-recovery stage: run a durable campaign, SIGKILL it mid-campaign at
 # a journal-record boundary, restart against the same state directory, and
@@ -166,6 +163,11 @@ for event in events:
     assert event["ph"] == "X" and "ts" in event and "dur" in event, event
 print(f"exporters: trace JSON well-formed ({len(events)} events)")
 PYEOF
+
+# Benchmark smoke test: perfbench/ compiles the library from the
+# src/CMakeLists.txt source list, so this proves the benchmark still builds
+# and passes its gates at tiny sizes after a source-list change.
+python3 perfbench/smoke_test.py
 
 for b in "$BUILD_DIR"/bench/*; do
   echo "### $b"

@@ -89,8 +89,8 @@ class MeasurementCampaign {
   // `resilience` is the campaign-level recovery configuration
   // (federated/resilience.h): its `budget` is the deadline budget of one
   // *tick*, split evenly across the queries scheduled in that tick and
-  // propagated query -> round -> session from there. When the breaker
-  // policy is enabled the campaign owns the HealthTracker, so a client
+  // propagated query -> round from there. When the breaker policy is
+  // enabled the campaign owns the HealthTracker, so a client
   // quarantined by one query's failures is excluded from every later
   // query's cohort, backfill, and hedges until its cooldown-and-probe
   // cycle closes the breaker. When `resilience` is enabled it overrides

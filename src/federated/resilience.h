@@ -8,7 +8,7 @@
 // and decorrelated jitter, reports predicted to miss the deadline are
 // hedged onto fresh clients, persistently failing clients are quarantined
 // behind a circuit breaker, and the time all of this may consume is bounded
-// by deadline budgets that propagate campaign -> query -> round -> session.
+// by deadline budgets that propagate campaign -> query -> round.
 //
 // Everything here is seeded and deterministic. Backoff jitter and retry
 // fault decisions are pure hashes (no RNG stream is consumed), the virtual
@@ -39,8 +39,8 @@ class QueryRecorder;  // federated/persist_hooks.h
 // the scheduling hierarchy: a campaign grants each tick a budget, the tick
 // splits it across its scheduled queries, a query splits its share across
 // rounds proportional to cohort size, and a round clamps its straggler
-// deadline (and any session it opens) to what remains. The default
-// (infinite) disables every deadline it touches.
+// deadline to what remains. The default (infinite) disables every deadline
+// it touches.
 struct DeadlineBudget {
   double minutes = std::numeric_limits<double>::infinity();
 
@@ -51,7 +51,7 @@ struct DeadlineBudget {
   // An even split across `parts` sequential consumers (parts >= 1).
   DeadlineBudget Split(int64_t parts) const;
   // min(deadline_minutes, minutes): the effective deadline a flat
-  // per-round/per-session deadline collapses to under this budget.
+  // per-round deadline collapses to under this budget.
   double ClampDeadline(double deadline_minutes) const;
 
   friend bool operator==(const DeadlineBudget&,

@@ -17,8 +17,8 @@
 // Cost model: all mutating calls check the global enabled flag (one
 // relaxed atomic load) and return immediately when observability is off,
 // so instrumented hot paths stay within the <2% overhead budget enforced
-// by bench_micro_throughput. Instruments are plain atomics — safe for
-// concurrent_server's worker threads.
+// by bench_micro_throughput. Instruments are plain atomics — safe to
+// update from any thread.
 //
 // Lifetime: the registry owns every instrument forever. Call sites cache
 // the returned pointer in a function-local static; Reset() zeroes values

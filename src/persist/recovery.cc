@@ -117,16 +117,6 @@ bool DurableCampaignRunner::Open(std::string* error) {
     for (const BitMeansEntry& entry : snapshot.bit_means) {
       bit_means_cache_[entry.value_id] = entry.means;
     }
-    for (const std::vector<uint8_t>& blob : snapshot.open_sessions) {
-      std::optional<CollectionSession> session;
-      size_t session_offset = 0;
-      if (!CollectionSession::Decode(blob, &session_offset, &session) ||
-          session_offset != blob.size()) {
-        *error = "snapshot session state failed validation";
-        return false;
-      }
-      sessions_.push_back(std::move(*session));
-    }
     if (!snapshot.health_blob.empty()) {
       HealthTracker* health = campaign_.mutable_health();
       if (health == nullptr) {
@@ -498,12 +488,6 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   for (const auto& [value_id, means] : bit_means_cache_) {
     snapshot.bit_means.push_back(BitMeansEntry{value_id, means});
   }
-  for (const CollectionSession& session : sessions_) {
-    if (session.state() != SessionState::kCollecting) continue;
-    std::vector<uint8_t> blob;
-    session.EncodeTo(&blob);
-    snapshot.open_sessions.push_back(std::move(blob));
-  }
   if (const HealthTracker* health = campaign_.health(); health != nullptr) {
     health->EncodeTo(&snapshot.health_blob);
   }
@@ -517,18 +501,6 @@ bool DurableCampaignRunner::Snapshot(std::string* error) {
   if (!RewriteJournalFile({}, error)) return false;
   journal_records_ = 0;
   return journal_.Open(journal_path_, snapshot.journal_next_seq, error);
-}
-
-int64_t DurableCampaignRunner::AddSession(const FixedPointCodec& codec,
-                                          const SessionConfig& config) {
-  sessions_.emplace_back(codec, config);
-  return static_cast<int64_t>(sessions_.size()) - 1;
-}
-
-CollectionSession* DurableCampaignRunner::session(int64_t index) {
-  BITPUSH_CHECK_GE(index, 0);
-  BITPUSH_CHECK_LT(index, static_cast<int64_t>(sessions_.size()));
-  return &sessions_[static_cast<size_t>(index)];
 }
 
 void DurableCampaignRunner::VerifyOrAppend(JournalRecordType type,
@@ -605,6 +577,11 @@ void DurableCampaignRunner::OnQueryFinished(int64_t tick, size_t query_index,
       !outcome.final_bit_means.empty()) {
     bit_means_cache_[campaign_.queries()[query_index].value_id] =
         outcome.final_bit_means;
+  }
+  // Callers only read back the tick they just ran; keeping every tick's
+  // per-client id vectors would grow without bound.
+  if (!full_results_.empty() && full_results_.begin()->first.first != tick) {
+    full_results_.clear();
   }
   full_results_[key] = outcome;
 }

@@ -9,7 +9,7 @@
 // The recovery model is deterministic re-execution with a replay cursor:
 //
 //   1. Load the newest snapshot: privacy-meter ledger, finished queries,
-//      bit-means cache, open sessions, completed-tick count.
+//      bit-means cache, breaker state, completed-tick count.
 //   2. Replay the journal tail on top of it. Meter-charge records are
 //      re-applied through the real meter, verifying the recorded outcome —
 //      a charge is applied exactly once, never twice, never dropped.
@@ -41,7 +41,6 @@
 
 #include "core/privacy_meter.h"
 #include "federated/campaign.h"
-#include "federated/session.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
@@ -120,15 +119,6 @@ class DurableCampaignRunner : private CampaignRecorder,
   // manually between ticks.
   bool Snapshot(std::string* error);
 
-  // Durable collection sessions: persisted (while open) in every snapshot
-  // and restored by Open. Indices are assigned in creation order; after a
-  // recovery they re-index the restored open sessions.
-  int64_t AddSession(const FixedPointCodec& codec, const SessionConfig& config);
-  CollectionSession* session(int64_t index);
-  int64_t session_count() const {
-    return static_cast<int64_t>(sessions_.size());
-  }
-
   const PrivacyMeter& meter() const { return meter_; }
   const MeasurementCampaign& campaign() const { return campaign_; }
   const RecoveryInfo& recovery_info() const { return info_; }
@@ -157,9 +147,11 @@ class DurableCampaignRunner : private CampaignRecorder,
   const std::map<int64_t, std::vector<double>>& bit_means_cache() const {
     return bit_means_cache_;
   }
-  // Full protocol-level results of the queries this process executed live
-  // (restored queries only have their summarized CampaignTickResult),
-  // keyed by (tick, query index).
+  // Full protocol-level results of the most recent tick's queries that this
+  // process executed live, keyed by (tick, query index). Entries of earlier
+  // ticks are dropped when a later tick finishes its first query, so the
+  // map never holds more than one tick's queries. Restored queries only
+  // have their summarized CampaignTickResult.
   const std::map<std::pair<int64_t, int64_t>, FederatedQueryResult>&
   full_results() const {
     return full_results_;
@@ -228,7 +220,6 @@ class DurableCampaignRunner : private CampaignRecorder,
   std::map<std::pair<int64_t, int64_t>, FinishedQueryEntry> finished_;
   std::map<int64_t, std::vector<double>> bit_means_cache_;
   std::map<std::pair<int64_t, int64_t>, FederatedQueryResult> full_results_;
-  std::vector<CollectionSession> sessions_;
 
   std::vector<MeterTickSample> meter_by_tick_;
   int64_t journal_records_ = 0;

@@ -44,11 +44,7 @@ void EncodeBody(const CoordinatorSnapshot& snapshot,
     bytes::PutInt64(entry.value_id, out);
     bytes::PutDoubleVector(entry.means, out);
   }
-  bytes::PutUint32(static_cast<uint32_t>(snapshot.open_sessions.size()), out);
-  for (const std::vector<uint8_t>& session : snapshot.open_sessions) {
-    bytes::PutUint32(static_cast<uint32_t>(session.size()), out);
-    out->insert(out->end(), session.begin(), session.end());
-  }
+  bytes::PutUint32(0, out);  // reserved: former open-session count
   bytes::PutUint32(static_cast<uint32_t>(snapshot.health_blob.size()), out);
   out->insert(out->end(), snapshot.health_blob.begin(),
               snapshot.health_blob.end());
@@ -126,13 +122,11 @@ bool DecodeBody(const std::vector<uint8_t>& buffer, size_t* offset,
     snapshot.bit_means.push_back(std::move(entry));
   }
 
-  uint32_t session_count = 0;
-  if (!bytes::GetUint32(buffer, &cursor, &session_count)) return false;
-  snapshot.open_sessions.reserve(session_count);
-  for (uint32_t i = 0; i < session_count; ++i) {
-    std::vector<uint8_t> session;
-    if (!GetBlob(buffer, &cursor, &session)) return false;
-    snapshot.open_sessions.push_back(std::move(session));
+  // Reserved: a nonzero former open-session count means a snapshot with
+  // collection-session state this build cannot restore.
+  uint32_t reserved = 0;
+  if (!bytes::GetUint32(buffer, &cursor, &reserved) || reserved != 0) {
+    return false;
   }
 
   if (!GetBlob(buffer, &cursor, &snapshot.health_blob)) return false;
@@ -270,7 +264,9 @@ bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
     return false;
   }
   if (!DecodeCoordinatorSnapshot(data, out)) {
-    *error = "snapshot failed validation (bad magic, version, CRC, or body)";
+    *error =
+        "snapshot failed validation (bad magic, version, CRC, or body, "
+        "including a nonzero reserved session count)";
     return false;
   }
   *found = true;

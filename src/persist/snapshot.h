@@ -3,8 +3,8 @@
 // A snapshot captures everything the durable coordinator needs to resume a
 // campaign without the journal growing forever: the privacy-meter ledger
 // (as its canonical encoded blob), every finished query's tick result and
-// final bit means, the adaptive bit-means cache, any open collection
-// sessions, and the sequence number at which the journal resumes. After a
+// final bit means, the adaptive bit-means cache, the circuit-breaker state,
+// and the sequence number at which the journal resumes. After a
 // snapshot is durably in place (write-to-temp, fsync, atomic rename) the
 // journal is truncated; recovery loads the newest snapshot and replays the
 // short journal tail on top of it.
@@ -14,6 +14,11 @@
 // trailing CRC-32 over everything before it. Decoding rejects a bad magic,
 // an unknown version, a CRC mismatch, and any internally inconsistent body
 // — fail closed, same rule as the journal.
+//
+// The body keeps a reserved uint32 between the bit-means cache and the
+// breaker state. It once counted open collection-session blobs; it is
+// always written as 0, and a nonzero value fails decoding, so the file
+// format (and kWireFormatVersion) is unchanged.
 
 #ifndef BITPUSH_PERSIST_SNAPSHOT_H_
 #define BITPUSH_PERSIST_SNAPSHOT_H_
@@ -57,8 +62,6 @@ struct CoordinatorSnapshot {
   std::vector<FinishedQueryEntry> finished;
   // Adaptive bit-means cache, sorted by value id.
   std::vector<BitMeansEntry> bit_means;
-  // Open CollectionSession blobs (CollectionSession::EncodeTo), kept opaque.
-  std::vector<std::vector<uint8_t>> open_sessions;
   // Circuit-breaker state (HealthTracker::EncodeTo, kept opaque; empty when
   // the campaign runs without a breaker). Restoring it from the snapshot
   // preserves failure history older than the journal tail, so quarantine

@@ -20,7 +20,6 @@
 #include "federated/faults.h"
 #include "federated/fleet.h"
 #include "federated/round.h"
-#include "federated/session.h"
 #include "rng/rng.h"
 #include "stats/repetition.h"
 
@@ -418,40 +417,6 @@ TEST_F(FaultMatrixTest, ModerateLossKeepsLearnedRebalance) {
   ASSERT_FALSE(result.aborted);
   EXPECT_FALSE(result.used_static_fallback);
   EXPECT_EQ(result.faults.static_policy_fallbacks, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Session deadline: the asynchronous coordinator rejects stragglers too.
-
-TEST(FaultSessionTest, LateReportRejectedThenResubmittedInTime) {
-  SessionConfig config;
-  config.probabilities = GeometricProbabilities(7, 1.0);
-  config.report_deadline = 10.0;
-  CollectionSession session(FixedPointCodec::Integer(7), config);
-  BitRequest request;
-  ASSERT_TRUE(session.IssueAssignment(1, &request));
-  const BitReport report{1, request.bit_index, 1};
-  EXPECT_EQ(session.SubmitReport(report, /*arrival_time=*/10.5),
-            ReportRejection::kLate);
-  EXPECT_EQ(session.late_reports(), 1);
-  EXPECT_EQ(session.rejected_reports(), 1);
-  // A late rejection does not burn the client's slot: a retransmission
-  // inside the window is accepted.
-  EXPECT_EQ(session.SubmitReport(report, /*arrival_time=*/5.0),
-            ReportRejection::kAccepted);
-  EXPECT_EQ(session.accepted_reports(), 1);
-}
-
-TEST(FaultSessionTest, NoDeadlineNeverRejectsLate) {
-  SessionConfig config;
-  config.probabilities = GeometricProbabilities(7, 1.0);
-  CollectionSession session(FixedPointCodec::Integer(7), config);
-  BitRequest request;
-  ASSERT_TRUE(session.IssueAssignment(2, &request));
-  const BitReport report{2, request.bit_index, 0};
-  EXPECT_EQ(session.SubmitReport(report, /*arrival_time=*/1e12),
-            ReportRejection::kAccepted);
-  EXPECT_EQ(session.late_reports(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "rng/rng.h"
+#include "snapshot_patch.h"
 
 namespace bitpush {
 namespace {
@@ -256,6 +257,17 @@ TEST(SnapshotFuzzTest, DecoderFailsClosedOnEveryMutation) {
       ASSERT_EQ(out.base_seed, snapshot.base_seed) << iteration;
       ASSERT_EQ(out.meter_blob, snapshot.meter_blob) << iteration;
     }
+    // The reserved former session count must be zero: a forged frame with
+    // a valid CRC, a nonzero count and (on even iterations) one session
+    // blob after it still fails closed.
+    const bool framed = iteration % 2 == 0;
+    const uint32_t count =
+        framed ? 1 : 1 + static_cast<uint32_t>(rng.NextBelow(1u << 31));
+    std::vector<uint8_t> forged = pristine;
+    PatchReservedSessionCount(count, /*health_blob_bytes=*/0, &forged,
+                              framed ? std::vector<uint8_t>{2, 0, 0, 0, 5, 6}
+                                     : std::vector<uint8_t>{});
+    ASSERT_FALSE(DecodeCoordinatorSnapshot(forged, &out)) << iteration;
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "persist/journal.h"
 #include "persist/snapshot.h"
+#include "snapshot_patch.h"
 
 namespace bitpush {
 namespace {
@@ -268,10 +269,15 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   entry.final_bit_means = {0.5};
   snapshot.finished.push_back(entry);
   snapshot.bit_means.push_back(BitMeansEntry{7, {0.25, 0.75}});
-  snapshot.open_sessions.push_back({9, 9, 9});
+  snapshot.health_blob = {9, 9, 9};
 
   std::vector<uint8_t> encoded;
   EncodeCoordinatorSnapshot(snapshot, &encoded);
+  // The reserved session count is written as zero: re-sealing it as zero
+  // leaves the bytes unchanged.
+  std::vector<uint8_t> resealed = encoded;
+  PatchReservedSessionCount(0, snapshot.health_blob.size(), &resealed);
+  EXPECT_EQ(resealed, encoded);
   CoordinatorSnapshot decoded;
   ASSERT_TRUE(DecodeCoordinatorSnapshot(encoded, &decoded));
   EXPECT_EQ(decoded.base_seed, snapshot.base_seed);
@@ -282,7 +288,29 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.finished[0].result, entry.result);
   ASSERT_EQ(decoded.bit_means.size(), 1u);
   EXPECT_EQ(decoded.bit_means[0].means, snapshot.bit_means[0].means);
-  EXPECT_EQ(decoded.open_sessions, snapshot.open_sessions);
+  EXPECT_EQ(decoded.health_blob, snapshot.health_blob);
+}
+
+TEST(SnapshotTest, NonzeroReservedSessionCountIsRejected) {
+  CoordinatorSnapshot snapshot;
+  snapshot.base_seed = 3;
+  snapshot.meter_blob = {1, 2};
+  snapshot.health_blob = {4, 5, 6, 7};
+  std::vector<uint8_t> encoded;
+  EncodeCoordinatorSnapshot(snapshot, &encoded);
+  CoordinatorSnapshot out;
+  ASSERT_TRUE(DecodeCoordinatorSnapshot(encoded, &out));
+
+  // A bare nonzero count, and the full frame a writer with one open
+  // session would have produced (count 1, then a length-prefixed blob):
+  // both carry a valid CRC and both fail closed.
+  std::vector<uint8_t> counted = encoded;
+  PatchReservedSessionCount(1, snapshot.health_blob.size(), &counted);
+  EXPECT_FALSE(DecodeCoordinatorSnapshot(counted, &out));
+  std::vector<uint8_t> framed = encoded;
+  PatchReservedSessionCount(1, snapshot.health_blob.size(), &framed,
+                            {3, 0, 0, 0, 9, 9, 9});
+  EXPECT_FALSE(DecodeCoordinatorSnapshot(framed, &out));
 }
 
 TEST(SnapshotTest, AnySingleBitFlipIsRejected) {
