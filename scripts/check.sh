@@ -185,8 +185,9 @@ for b in "$BUILD_DIR"/bench/*; do
       "$b" --benchmark_out="$BUILD_DIR/BENCH_micro_throughput.json" \
       --benchmark_out_format=json
   elif [[ "$(basename "$b")" == bench_shard_scaling ]]; then
-    # Shard-out makespan scaling (docs/SHARDING.md); the JSON lands next
-    # to the other BENCH_* artifacts.
+    # Modeled shard-out tick time: the shards run one after another on
+    # one thread and the figure takes the slowest (docs/SHARDING.md §8).
+    # The JSON lands next to the other BENCH_* artifacts.
     BITPUSH_SHARD_BENCH_JSON="$BUILD_DIR/BENCH_shard_scaling.json" "$b"
   else
     "$b"

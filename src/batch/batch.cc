@@ -1,8 +1,8 @@
 #include "batch/batch.h"
 
-// bitpush-lint: allow(privacy-metering): the columnar adapters repackage
-// reports that were already metered when collected (server.cc charges via
-// client.cc before reports reach a batch); no new disclosure happens here.
+// bitpush-lint: allow(privacy-metering): the slot writer records reports
+// that were already metered when collected (server.cc charges via
+// client.cc before a report reaches a batch); no new disclosure happens here.
 
 #include <cstdint>
 #include <vector>
@@ -12,26 +12,6 @@
 #include "util/check.h"
 
 namespace bitpush {
-namespace {
-
-ReportBatch MakeEmptyBatch(int bits, int64_t count) {
-  BITPUSH_CHECK_GE(bits, 1);
-  BITPUSH_CHECK_GE(count, 1);
-  ReportBatch batch;
-  batch.bits = bits;
-  batch.count = count;
-  batch.stride = kernels::WordsForBits(count);
-  batch.planes.assign(static_cast<size_t>(bits) *
-                          static_cast<size_t>(batch.stride),
-                      0);
-  batch.selection.assign(static_cast<size_t>(bits) *
-                             static_cast<size_t>(batch.stride),
-                         0);
-  return batch;
-}
-
-}  // namespace
-
 BitHistogram TallyBatch::ToBitHistogram() const {
   std::vector<int64_t> total = totals;
   std::vector<int64_t> one = ones;
@@ -64,11 +44,38 @@ void AccumulateTallies(const TallyBatch& src, TallyBatch* dst) {
                 reinterpret_cast<const uint64_t*>(src.ones.data()), n);
 }
 
+ReportBatch MakeReportBatch(int bits, int64_t count) {
+  BITPUSH_CHECK_GE(bits, 1);
+  BITPUSH_CHECK_GE(count, 0);
+  ReportBatch batch;
+  batch.bits = bits;
+  batch.count = count;
+  batch.stride = kernels::WordsForBits(count);
+  const size_t words =
+      static_cast<size_t>(bits) * static_cast<size_t>(batch.stride);
+  batch.planes.assign(words, 0);
+  batch.selection.assign(words, 0);
+  return batch;
+}
+
+void SetReportSlot(ReportBatch* batch, int64_t slot, int bit_index, int bit) {
+  BITPUSH_CHECK(batch != nullptr);
+  BITPUSH_CHECK(slot >= 0 && slot < batch->count)
+      << "slot out of range: " << slot;
+  BITPUSH_CHECK(bit_index >= 0 && bit_index < batch->bits)
+      << "bit_index out of range: " << bit_index;
+  BITPUSH_CHECK(bit == 0 || bit == 1);
+  const int64_t word = slot / 64;
+  const uint64_t mask = uint64_t{1} << (slot % 64);
+  batch->selection_plane(bit_index)[word] |= mask;
+  if (bit != 0) batch->plane(bit_index)[word] |= mask;
+}
+
 ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,
                              const std::vector<int>& assignment, int bits) {
   BITPUSH_CHECK_EQ(codewords.size(), assignment.size());
   ReportBatch batch =
-      MakeEmptyBatch(bits, static_cast<int64_t>(codewords.size()));
+      MakeReportBatch(bits, static_cast<int64_t>(codewords.size()));
   for (const int j : assignment) {
     BITPUSH_CHECK(j >= 0 && j < bits) << "assignment out of range: " << j;
   }
@@ -77,45 +84,6 @@ ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,
                                        batch.planes.data(),
                                        batch.selection.data());
   return batch;
-}
-
-ReportBatch ReportBatchFromBitReports(const std::vector<BitReport>& reports,
-                                      int bits) {
-  ReportBatch batch =
-      MakeEmptyBatch(bits, static_cast<int64_t>(reports.size()));
-  for (int64_t i = 0; i < batch.count; ++i) {
-    const BitReport& report = reports[static_cast<size_t>(i)];
-    BITPUSH_CHECK(report.bit_index >= 0 && report.bit_index < bits)
-        << "bit_index out of range: " << report.bit_index;
-    BITPUSH_CHECK(report.bit == 0 || report.bit == 1);
-    const int64_t word = i / 64;
-    const uint64_t mask = uint64_t{1} << (i % 64);
-    batch.selection_plane(report.bit_index)[word] |= mask;
-    if (report.bit != 0) batch.plane(report.bit_index)[word] |= mask;
-  }
-  return batch;
-}
-
-std::vector<BitReport> ToBitReports(const ReportBatch& batch) {
-  std::vector<BitReport> reports;
-  reports.reserve(static_cast<size_t>(batch.count));
-  for (int64_t i = 0; i < batch.count; ++i) {
-    const int64_t word = i / 64;
-    const uint64_t mask = uint64_t{1} << (i % 64);
-    int bit_index = -1;
-    int bit = 0;
-    for (int j = 0; j < batch.bits; ++j) {
-      if ((batch.selection_plane(j)[word] & mask) != 0) {
-        BITPUSH_CHECK_EQ(bit_index, -1)
-            << "slot " << i << " selected in multiple planes";
-        bit_index = j;
-        bit = (batch.plane(j)[word] & mask) != 0 ? 1 : 0;
-      }
-    }
-    BITPUSH_CHECK_NE(bit_index, -1) << "slot " << i << " has no selection";
-    reports.push_back(BitReport{i, bit_index, bit});
-  }
-  return reports;
 }
 
 void PerturbBatch(ReportBatch* batch, const RandomizedResponse& rr,

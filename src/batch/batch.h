@@ -22,9 +22,10 @@
 // the *full* bit-slice of every codeword (the cheapest thing for the
 // kernel to produce) and relies on every consumer gating by selection —
 // tallies popcount plane & selection, perturbation masks are ANDed with
-// the selection, and conversion reads only the selected plane.
-// ReportBatchFromBitReports, whose inputs carry just one bit per report,
-// produces gated planes (planes[j] & ~selection[j] == 0).
+// the selection, and the secure-aggregation tally reads only selected
+// slots. SetReportSlot, which records one report's single bit, produces
+// gated planes (planes[j] & ~selection[j] == 0), and a slot nobody wrote
+// is selected in no plane, so it counts nowhere.
 //
 // Determinism: PerturbBatch draws one keep/flip decision per slot, in slot
 // order, from the caller's rng — exactly the stream the per-report
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "core/bit_pushing.h"
-#include "federated/report.h"
 #include "ldp/randomized_response.h"
 #include "rng/rng.h"
 
@@ -49,7 +49,7 @@ namespace bitpush {
 // One collection round in structure-of-arrays form.
 struct ReportBatch {
   int bits = 0;        // bit planes (codeword width)
-  int64_t count = 0;   // clients in the batch
+  int64_t count = 0;   // slots (one per client or report) in the batch
   int64_t stride = 0;  // words per plane, kernels::WordsForBits(count)
   std::vector<uint64_t> planes;     // bits * stride words
   std::vector<uint64_t> selection;  // bits * stride words
@@ -85,20 +85,20 @@ TallyBatch TallyBatchFromBitHistogram(const BitHistogram& histogram);
 // signed addition exactly. Widths must match (CHECK-fails otherwise).
 void AccumulateTallies(const TallyBatch& src, TallyBatch* dst);
 
+// An all-zero batch of `count` slots (count >= 0), none of them selected.
+ReportBatch MakeReportBatch(int bits, int64_t count);
+
+// Records one report in slot `slot`: selects the slot on plane `bit_index`
+// and sets the plane bit when `bit` is 1. CHECK-fails on a slot outside
+// [0, count), a bit index outside [0, bits) or a bit outside {0, 1}. This
+// is how a collection round tallies: accepted report k goes to slot k.
+void SetReportSlot(ReportBatch* batch, int64_t slot, int bit_index, int bit);
+
 // Builds a batch from encoded codewords and a per-client bit assignment
 // (entries in [0, bits)), e.g. from rng/qmc.h. Plane bits carry the
 // *unperturbed* assigned bit of each codeword.
 ReportBatch BuildReportBatch(const std::vector<uint64_t>& codewords,
                              const std::vector<int>& assignment, int bits);
-
-// Converters to/from the AoS path. FromBitReports accepts reports in any
-// order; slot i of the batch is reports[i] (client ids are not retained —
-// tallies never depend on them). ToBitReports emits one report per slot
-// with client_id = slot index; round-trips preserve (bit_index, bit) per
-// slot exactly.
-ReportBatch ReportBatchFromBitReports(const std::vector<BitReport>& reports,
-                                      int bits);
-std::vector<BitReport> ToBitReports(const ReportBatch& batch);
 
 // Applies randomized response to every *assigned* bit of the batch: one
 // flip mask is drawn slot-by-slot via rr.DrawFlip (consuming exactly the

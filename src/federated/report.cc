@@ -1,5 +1,6 @@
 #include "federated/report.h"
 
+#include "federated/wire.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -43,14 +44,15 @@ bool DecodeCommunicationStats(const std::vector<uint8_t>& buffer,
 }
 
 int64_t RequestPayloadBytes() {
-  // 8B round id + 8B value id + 1B bit index + 8B epsilon.
+  // 8B round id + 8B value id + 1B bit index + 8B epsilon. No request codec
+  // exists; this is the model's only statement of the request size.
   return 25;
 }
 
 int64_t ReportPayloadBytes() {
   // 8B client id + 1B bit index + 1B bit (the single private bit rides in
   // the low bit; the rest is protocol overhead).
-  return 10;
+  return static_cast<int64_t>(kBitReportWireSize);
 }
 
 }  // namespace bitpush

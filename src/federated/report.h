@@ -52,9 +52,10 @@ void EncodeCommunicationStats(const CommunicationStats& stats,
 bool DecodeCommunicationStats(const std::vector<uint8_t>& buffer,
                               size_t* offset, CommunicationStats* out);
 
-// Wire-size model: a report carries a header (client id + round id), the
-// bit index, and the bit itself; a request carries header + index +
-// epsilon. Both round up to whole bytes.
+// Wire-size model, charged to CommunicationStats::payload_bytes. A report
+// is the kBitReportWireSize bytes EncodeBitReport writes (federated/wire.h).
+// Requests have no codec, so RequestPayloadBytes() is the only statement of
+// the request model: 8B round id + 8B value id + 1B bit index + 8B epsilon.
 int64_t RequestPayloadBytes();
 int64_t ReportPayloadBytes();
 

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "federated/latency.h"
@@ -172,19 +171,6 @@ void EncodeRetryStats(const RetryStats& stats, std::vector<uint8_t>* out);
 bool DecodeRetryStats(const std::vector<uint8_t>& buffer, size_t* offset,
                       RetryStats* out);
 
-// Versioned wire frames (kWireFormatVersion header byte, same contract as
-// federated/wire.h batch frames) so coordinators can ship resilience
-// policies and stats between processes. Decoding is fail-closed: unknown
-// version, truncation, trailing bytes, or any out-of-domain field rejects
-// the whole frame without touching `*out`.
-void EncodeRetryStatsFrame(const RetryStats& stats, std::vector<uint8_t>* out);
-bool DecodeRetryStatsFrame(const std::vector<uint8_t>& buffer,
-                           RetryStats* out);
-void EncodeResilienceConfigFrame(const ResilienceConfig& config,
-                                 std::vector<uint8_t>* out);
-bool DecodeResilienceConfigFrame(const std::vector<uint8_t>& buffer,
-                                 ResilienceConfig* out);
-
 // One recovery decision, journaled through QueryRecorder::OnResilienceEvent
 // so crash recovery can verify the re-executed schedule record by record.
 enum class ResilienceEventType : uint8_t {
@@ -313,9 +299,6 @@ class HealthTracker {
   int64_t opens_ = 0;
   int64_t closes_ = 0;
 };
-
-// One-line human-readable summary for ops output (benches, monitors).
-std::string RetryStatsSummary(const RetryStats& stats);
 
 }  // namespace bitpush
 

@@ -1,6 +1,7 @@
 #include "federated/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 
@@ -82,8 +83,13 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     active.push_back(idx);
   }
 
-  std::vector<BitReport> reports;
-  reports.reserve(active.size());
+  // The round's tally, in bit planes: accepted report k lands in slot k,
+  // so slot order is accept order. Every backfill and hedge client comes
+  // from the pool, which bounds the slots a round can fill; slots left
+  // unfilled stay unselected and count nowhere.
+  ReportBatch batch = MakeReportBatch(
+      bits, static_cast<int64_t>(active.size() + config.backfill_pool.size()));
+  int64_t accepted_reports = 0;
 
   enum class SlotResult {
     kAccepted,
@@ -223,7 +229,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       if (config.recorder != nullptr) {
         config.recorder->OnReportAccepted(config.round_id, accepted);
       }
-      reports.push_back(accepted);
+      SetReportSlot(&batch, accepted_reports++, accepted.bit_index,
+                    accepted.bit);
       return SlotResult::kAccepted;
     }
   };
@@ -364,10 +371,10 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
   // metered on response like any reporter.
   const int64_t target = static_cast<int64_t>(active.size());
   for (int64_t pass = 0; pass < config.fault_policy.max_backfill_rounds &&
-                         static_cast<int64_t>(reports.size()) < target &&
+                         accepted_reports < target &&
                          pool_pos < config.backfill_pool.size();
        ++pass) {
-    const int64_t need = target - static_cast<int64_t>(reports.size());
+    const int64_t need = target - accepted_reports;
     std::vector<int64_t> draw;
     draw.reserve(static_cast<size_t>(need));
     while (static_cast<int64_t>(draw.size()) < need &&
@@ -378,7 +385,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     collect(draw, /*backfill=*/true);
   }
 
-  outcome.responded = static_cast<int64_t>(reports.size());
+  outcome.responded = accepted_reports;
   if (resilience_on) outcome.retry.elapsed_minutes = clock;
   outcome.dropout_rate =
       outcome.contacted > 0
@@ -387,27 +394,27 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
           : 0.0;
 
   if (!config.use_secure_aggregation) {
-    // Columnar tally (src/batch/): identical counts to the old per-report
-    // Add loop — ones[j]/totals[j] are order-free sums — so the golden
-    // campaign snapshots are unaffected, but the counting is a popcount
-    // over packed words instead of a 16-byte-per-report scan.
-    if (!reports.empty()) {
-      AggregateBatch(ReportBatchFromBitReports(reports, bits))
-          .AccumulateInto(&outcome.histogram);
+    // Columnar tally (src/batch/): ones[j]/totals[j] are popcounts over
+    // the packed planes, gated by selection.
+    if (accepted_reports > 0) {
+      AggregateBatch(batch).AccumulateInto(&outcome.histogram);
     }
     return outcome;
   }
 
   // Secure aggregation: one session per bit group over the clients that
-  // actually responded for that bit; the server learns only (sum, count).
-  std::vector<std::vector<uint64_t>> group_bits(static_cast<size_t>(bits));
-  for (const BitReport& report : reports) {
-    group_bits[static_cast<size_t>(report.bit_index)].push_back(
-        static_cast<uint64_t>(report.bit));
-  }
+  // actually responded for that bit, taken from plane j's selected slots in
+  // slot (accept) order; the server learns only (sum, count).
+  std::vector<uint64_t> group;
   for (int j = 0; j < bits; ++j) {
-    const std::vector<uint64_t>& group =
-        group_bits[static_cast<size_t>(j)];
+    group.clear();
+    const uint64_t* selection = batch.selection_plane(j);
+    const uint64_t* plane = batch.plane(j);
+    for (int64_t w = 0; w < batch.stride; ++w) {
+      for (uint64_t live = selection[w]; live != 0; live &= live - 1) {
+        group.push_back((plane[w] >> std::countr_zero(live)) & 1);
+      }
+    }
     if (group.empty()) continue;
     const int64_t count = static_cast<int64_t>(group.size());
     // The aggregator constructor consumes the same rng draws as before;

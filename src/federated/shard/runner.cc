@@ -4,7 +4,6 @@
 // that each charge their own shard-local meter during collection; the
 // delivery loop and the reference below move already-metered tallies.
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,21 +37,20 @@ bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
     switch (fault) {
       case ShardFaultType::kCrashAtRecord: {
         JournalReadResult contents;
-        if (!ReadShardJournal(journal, &contents, error)) return false;
+        if (!ReadWholeJournal(journal, &contents, error)) return false;
         const int64_t keep = plan.CrashRecordIndex(
             coord->shard_index(), tick, attempt,
             static_cast<int64_t>(contents.records.size()));
-        if (!TruncateShardJournalToRecords(
-                journal, static_cast<size_t>(keep), error)) {
+        if (!TruncateJournalToRecords(journal, static_cast<size_t>(keep),
+                                      error)) {
           return false;
         }
         break;
       }
       case ShardFaultType::kTornJournal: {
-        if (!TearShardJournalTail(
-                journal,
-                plan.TornTailBytes(coord->shard_index(), tick, attempt),
-                error)) {
+        const size_t torn =
+            plan.TornTailBytes(coord->shard_index(), tick, attempt);
+        if (!TearJournalTail(journal, torn, error)) {
           return false;
         }
         break;
@@ -60,7 +58,7 @@ bool ApplyShardSabotage(ShardCoordinator* coord, const ShardFaultPlan& plan,
       case ShardFaultType::kStaleSnapshot: {
         // Every record since the last snapshot is gone; recovery restarts
         // from the snapshot alone (or from scratch if none was taken).
-        if (!TruncateShardJournalToRecords(journal, 0, error)) return false;
+        if (!TruncateJournalToRecords(journal, 0, error)) return false;
         break;
       }
       case ShardFaultType::kNone:
@@ -193,7 +191,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   const ShardFaultPlan* plan = options_.fault_plan;
   std::vector<ShardLoss> losses;
   std::vector<int64_t> delivered_shards;
-  double makespan = 0.0;
 
   // Merge-tier tick span: the root of this tick's cross-shard trace. Its
   // context rides into every CollectTick (and from there across the frame
@@ -285,7 +282,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
 
     if (delivered) {
       delivered_shards.push_back(s);
-      makespan = std::max(makespan, clock);
       if (coordinator->metrics().recoveries > recoveries_before) {
         obs::EventArgs args;
         args.tick = tick;
@@ -316,7 +312,6 @@ bool ShardedCampaignRunner::RunTick(int64_t tick, MergedTickResult* out,
   }
 
   history_.push_back(result);
-  makespan_minutes_.push_back(makespan);
   ++next_tick_;
   *out = std::move(result);
   return true;

@@ -93,11 +93,6 @@ class ShardedCampaignRunner {
   ShardCoordinator* shard(int64_t s);
   const MergeTier& merge() const { return *merge_; }
   const std::vector<MergedTickResult>& history() const { return history_; }
-  // Simulated minutes of the slowest shard for each closed tick (the
-  // campaign makespan under perfect shard parallelism).
-  const std::vector<double>& tick_makespan_minutes() const {
-    return makespan_minutes_;
-  }
   // Canonical bytes of shard s's local privacy ledger.
   std::vector<uint8_t> shard_meter_bytes(int64_t s) const;
 
@@ -109,7 +104,6 @@ class ShardedCampaignRunner {
   std::vector<std::unique_ptr<ShardCoordinator>> coordinators_;
   std::unique_ptr<MergeTier> merge_;
   std::vector<MergedTickResult> history_;
-  std::vector<double> makespan_minutes_;
   bool open_ = false;
   int64_t next_tick_ = 0;
 };

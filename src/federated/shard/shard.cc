@@ -5,9 +5,7 @@
 // DurableCampaignRunner charges every report to this shard's local_meter()
 // ledger; the harvest below only repackages already-metered tallies.
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,7 +15,6 @@
 #include "batch/batch.h"
 #include "core/bit_pushing.h"
 #include "federated/server.h"
-#include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -31,49 +28,6 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out,
-                   bool* missing) {
-  *missing = false;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    *missing = true;
-    return false;
-  }
-  std::vector<uint8_t> data;
-  uint8_t chunk[4096];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + got);
-  }
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) return false;
-  *out = std::move(data);
-  return true;
-}
-
-bool WriteFileBytes(const std::string& path,
-                    const std::vector<uint8_t>& data, std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = "cannot open for write: " + path;
-    return false;
-  }
-  const bool wrote =
-      data.empty() ||
-      std::fwrite(data.data(), 1, data.size(), file) == data.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    *error = "short write: " + path;
-    return false;
-  }
-  return true;
-}
-
-// Byte offset of the sequence number inside a journal frame header:
-// [version:1][type:1][seq:8]...
-constexpr size_t kSeqOffset = 2;
 
 void AccumulateRoundTallies(const RoundOutcome& round,
                             ShardQueryFrame* frame) {
@@ -105,58 +59,6 @@ std::vector<std::vector<Client>> PartitionClients(
     partitions[i % static_cast<size_t>(shards)].push_back(population[i]);
   }
   return partitions;
-}
-
-bool ReadShardJournal(const std::string& path, JournalReadResult* out,
-                      std::string* error) {
-  BITPUSH_CHECK(out != nullptr);
-  BITPUSH_CHECK(error != nullptr);
-  std::vector<uint8_t> data;
-  bool missing = false;
-  if (!ReadFileBytes(path, &data, &missing)) {
-    if (missing) {
-      // Same contract as ReadJournal: a journal that never existed is an
-      // empty journal.
-      *out = JournalReadResult{};
-      return true;
-    }
-    *error = "cannot read journal: " + path;
-    return false;
-  }
-  uint64_t first_seq = 0;
-  if (data.size() >= kSeqOffset + 8) {
-    size_t cursor = kSeqOffset;
-    BITPUSH_CHECK(bytes::GetUint64(data, &cursor, &first_seq));
-  }
-  return ReadJournal(path, first_seq, out, error);
-}
-
-bool TruncateShardJournalToRecords(const std::string& path,
-                                   size_t keep_records, std::string* error) {
-  BITPUSH_CHECK(error != nullptr);
-  JournalReadResult journal;
-  if (!ReadShardJournal(path, &journal, error)) return false;
-  std::vector<uint8_t> prefix;
-  const size_t keep = std::min(keep_records, journal.records.size());
-  for (size_t i = 0; i < keep; ++i) {
-    AppendJournalFrame(journal.records[i].type, journal.records[i].seq,
-                       journal.records[i].payload, &prefix);
-  }
-  return WriteFileBytes(path, prefix, error);
-}
-
-bool TearShardJournalTail(const std::string& path, size_t bytes,
-                          std::string* error) {
-  BITPUSH_CHECK(error != nullptr);
-  std::vector<uint8_t> data;
-  bool missing = false;
-  if (!ReadFileBytes(path, &data, &missing)) {
-    *error = "cannot read journal: " + path;
-    return false;
-  }
-  const size_t keep = data.size() > bytes ? data.size() - bytes : 0;
-  data.resize(keep);
-  return WriteFileBytes(path, data, error);
 }
 
 ShardQueryFrame MakeShardQueryFrame(int64_t query_index,
@@ -305,7 +207,7 @@ bool ShardCoordinator::HarvestFromJournal(int64_t tick, int64_t query_index,
                                           std::vector<RoundOutcome>* rounds,
                                           std::string* error) const {
   JournalReadResult journal;
-  if (!ReadShardJournal(journal_path(), &journal, error)) return false;
+  if (!ReadWholeJournal(journal_path(), &journal, error)) return false;
   int64_t current_tick = -1;
   int64_t current_query = -1;
   for (const JournalRecord& record : journal.records) {

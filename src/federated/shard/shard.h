@@ -52,19 +52,6 @@ uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index);
 std::vector<std::vector<Client>> PartitionClients(
     const std::vector<Client>& population, int64_t shards);
 
-// Journal helpers that tolerate a first sequence number > 0 (the normal
-// state of a journal that has been truncated by a snapshot; plain
-// ReadJournal/TruncateJournalToRecords require the caller to know the
-// snapshot's next_seq). Used by the shard fault harness and the
-// kill-at-every-record matrix.
-bool ReadShardJournal(const std::string& path, JournalReadResult* out,
-                      std::string* error);
-bool TruncateShardJournalToRecords(const std::string& path,
-                                   size_t keep_records, std::string* error);
-// Chops `bytes` off the end of the file — the torn-write crash artifact.
-bool TearShardJournalTail(const std::string& path, size_t bytes,
-                          std::string* error);
-
 // Builds one query's frame row from a live outcome: tallies are the
 // round-1 + round-2 histograms (zero-width when the query never ran a
 // round) and faults are the round-level sums. Shared by the shard harvest

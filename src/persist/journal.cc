@@ -108,28 +108,26 @@ void JournalWriter::Close() {
   }
 }
 
-bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
-                 JournalReadResult* out, std::string* error) {
-  BITPUSH_CHECK(out != nullptr);
-  BITPUSH_CHECK(error != nullptr);
-  JournalReadResult result;
-  result.next_seq = expected_first_seq;
+namespace {
 
+// Reads the whole file. A missing file sets *missing and succeeds with no
+// bytes; any other failure sets *error.
+bool ReadJournalFile(const std::string& path, std::vector<uint8_t>* data,
+                     bool* missing, std::string* error) {
+  *missing = false;
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     if (errno == ENOENT) {
-      // No journal yet: an empty one.
-      *out = std::move(result);
+      *missing = true;
       return true;
     }
     *error = IoError("open journal", path);
     return false;
   }
-  std::vector<uint8_t> data;
   uint8_t chunk[4096];
   size_t n;
   while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + n);
+    data->insert(data->end(), chunk, chunk + n);
   }
   const bool read_error = std::ferror(file) != 0;
   std::fclose(file);
@@ -137,7 +135,36 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
     *error = IoError("read journal", path);
     return false;
   }
+  return true;
+}
 
+// Replaces the file's contents with `data`.
+bool RewriteJournalFile(const std::string& path,
+                        const std::vector<uint8_t>& data,
+                        std::string* error) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    *error = IoError("rewrite journal", path);
+    return false;
+  }
+  const bool wrote =
+      data.empty() ||
+      std::fwrite(data.data(), 1, data.size(), file) == data.size();
+  const bool closed = std::fclose(file) == 0;
+  if (!wrote || !closed) {
+    *error = IoError("rewrite journal", path);
+    return false;
+  }
+  return true;
+}
+
+// Validates the frames of `data`, keeping records from expected_first_seq
+// on; the ReadJournal contract.
+bool ParseJournal(const std::vector<uint8_t>& data,
+                  uint64_t expected_first_seq, JournalReadResult* out,
+                  std::string* error) {
+  JournalReadResult result;
+  result.next_seq = expected_first_seq;
   size_t offset = 0;
   uint64_t previous_seq = 0;
   bool have_previous = false;
@@ -207,31 +234,61 @@ bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
   return true;
 }
 
+}  // namespace
+
+bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
+                 JournalReadResult* out, std::string* error) {
+  BITPUSH_CHECK(out != nullptr);
+  BITPUSH_CHECK(error != nullptr);
+  std::vector<uint8_t> data;
+  bool missing = false;
+  if (!ReadJournalFile(path, &data, &missing, error)) return false;
+  return ParseJournal(data, expected_first_seq, out, error);
+}
+
+bool ReadWholeJournal(const std::string& path, JournalReadResult* out,
+                      std::string* error) {
+  BITPUSH_CHECK(out != nullptr);
+  BITPUSH_CHECK(error != nullptr);
+  std::vector<uint8_t> data;
+  bool missing = false;
+  if (!ReadJournalFile(path, &data, &missing, error)) return false;
+  // Peek the first frame's seq: [version:1][type:1][seq:8]. A file too
+  // short to hold it is a torn tail and parses from 0.
+  uint64_t first_seq = 0;
+  size_t cursor = 2;
+  if (data.size() >= cursor + 8) {
+    BITPUSH_CHECK(bytes::GetUint64(data, &cursor, &first_seq));
+  }
+  return ParseJournal(data, first_seq, out, error);
+}
+
 bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
                               std::string* error) {
   BITPUSH_CHECK(error != nullptr);
   JournalReadResult journal;
-  if (!ReadJournal(path, 0, &journal, error)) return false;
+  if (!ReadWholeJournal(path, &journal, error)) return false;
   std::vector<uint8_t> prefix;
   const size_t keep = std::min(keep_records, journal.records.size());
   for (size_t i = 0; i < keep; ++i) {
     AppendJournalFrame(journal.records[i].type, journal.records[i].seq,
                        journal.records[i].payload, &prefix);
   }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = IoError("truncate journal", path);
+  return RewriteJournalFile(path, prefix, error);
+}
+
+bool TearJournalTail(const std::string& path, size_t tail_bytes,
+                     std::string* error) {
+  BITPUSH_CHECK(error != nullptr);
+  std::vector<uint8_t> data;
+  bool missing = false;
+  if (!ReadJournalFile(path, &data, &missing, error)) return false;
+  if (missing) {
+    *error = "cannot tear a missing journal: " + path;
     return false;
   }
-  const bool wrote =
-      prefix.empty() ||
-      std::fwrite(prefix.data(), 1, prefix.size(), file) == prefix.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    *error = IoError("truncate journal", path);
-    return false;
-  }
-  return true;
+  data.resize(data.size() > tail_bytes ? data.size() - tail_bytes : 0);
+  return RewriteJournalFile(path, data, error);
 }
 
 // ---------------------------------------------------------------------------

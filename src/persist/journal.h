@@ -11,10 +11,10 @@
 //
 //   [version:1][type:1][seq:8][len:4][payload:len][crc32:4]
 //
-// `version` is kWireFormatVersion, shared with the network batch frames of
-// federated/wire.h; `seq` numbers records contiguously across the life of
-// the state directory (snapshots record where the journal resumes); the
-// CRC covers version through payload.
+// `version` is kWireFormatVersion (federated/wire.h), shared with the
+// snapshot and the shard tick frames; `seq` numbers records contiguously
+// across the life of the state directory (snapshots record where the
+// journal resumes); the CRC covers version through payload.
 //
 // Read semantics distinguish the one corruption a crash legitimately
 // produces from everything else. A file that *ends* mid-frame is a torn
@@ -126,13 +126,27 @@ struct JournalReadResult {
 bool ReadJournal(const std::string& path, uint64_t expected_first_seq,
                  JournalReadResult* out, std::string* error);
 
+// ReadJournal from whatever sequence number the file's first record
+// carries: every record the file holds. A journal truncated by a snapshot
+// starts past 0, so this is the read for callers that do not know the
+// snapshot's next_seq (the crash harnesses, bitpush_doctor).
+bool ReadWholeJournal(const std::string& path, JournalReadResult* out,
+                      std::string* error);
+
 // Rewrites the journal at `path` so only its first `keep_records` records
 // remain — the canonical way to simulate a crash that lost a durable
-// suffix. Reads and validates the existing file first; keeping more records
-// than exist keeps them all. Returns false with `*error` set on I/O failure
-// or on pre-existing corruption.
+// suffix. Reads and validates the existing file first (ReadWholeJournal,
+// so a snapshot-truncated journal works too); keeping more records than
+// exist keeps them all. Returns false with `*error` set on I/O failure or
+// on pre-existing corruption.
 bool TruncateJournalToRecords(const std::string& path, size_t keep_records,
                               std::string* error);
+
+// Chops `tail_bytes` off the end of the file — the torn-write crash
+// artifact. Returns false with `*error` set when the file is missing or on
+// I/O failure.
+bool TearJournalTail(const std::string& path, size_t tail_bytes,
+                     std::string* error);
 
 // ---------------------------------------------------------------------------
 // Record payloads. Each Encode appends to `out`; each Decode consumes the

@@ -23,6 +23,7 @@
 #include "core/bit_pushing.h"
 #include "core/fixed_point.h"
 #include "core/histogram_estimation.h"
+#include "federated/report.h"
 #include "kernels/kernels.h"
 #include "ldp/randomized_response.h"
 #include "rng/rng.h"
@@ -275,7 +276,7 @@ TEST(KernelTest, ScopedForceScalarForcesTheScalarKernel) {
 // ---------------------------------------------------------------------------
 // Batch pipeline vs the per-report path.
 
-TEST(KernelBatchTest, ConvertersRoundTripAndKeepPlanesGated) {
+TEST(KernelBatchTest, SlotWriterKeepsPlanesGated) {
   Rng rng(404);
   const int bits = 6;
   std::vector<BitReport> reports(350);
@@ -285,18 +286,30 @@ TEST(KernelBatchTest, ConvertersRoundTripAndKeepPlanesGated) {
         rng.NextBelow(static_cast<uint64_t>(bits)));
     reports[i].bit = rng.NextBit();
   }
-  const ReportBatch batch = ReportBatchFromBitReports(reports, bits);
+  ReportBatch batch =
+      MakeReportBatch(bits, static_cast<int64_t>(reports.size()));
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SetReportSlot(&batch, static_cast<int64_t>(i), reports[i].bit_index,
+                  reports[i].bit);
+  }
   // Plane bits may only appear where the selection gate is set.
   for (int j = 0; j < bits; ++j) {
     for (int64_t w = 0; w < batch.stride; ++w) {
       EXPECT_EQ(batch.plane(j)[w] & ~batch.selection_plane(j)[w], 0u);
     }
   }
-  const std::vector<BitReport> round_trip = ToBitReports(batch);
-  ASSERT_EQ(round_trip.size(), reports.size());
+  // Each slot is selected on exactly its report's plane and carries its bit.
   for (size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(round_trip[i].bit_index, reports[i].bit_index) << i;
-    EXPECT_EQ(round_trip[i].bit, reports[i].bit) << i;
+    const int64_t word = static_cast<int64_t>(i / 64);
+    const uint64_t mask = uint64_t{1} << (i % 64);
+    for (int j = 0; j < bits; ++j) {
+      const bool selected = (batch.selection_plane(j)[word] & mask) != 0;
+      EXPECT_EQ(selected, j == reports[i].bit_index) << i;
+      if (selected) {
+        EXPECT_EQ((batch.plane(j)[word] & mask) != 0 ? 1 : 0, reports[i].bit)
+            << i;
+      }
+    }
   }
 }
 
@@ -313,8 +326,12 @@ TEST(KernelBatchTest, AggregateBatchMatchesPerReportHistogram) {
       report.bit = rng.NextBit();
       want.Add(report.bit_index, report.bit);
     }
-    const TallyBatch tally =
-        AggregateBatch(ReportBatchFromBitReports(reports, bits));
+    ReportBatch batch = MakeReportBatch(bits, n);
+    for (int64_t i = 0; i < n; ++i) {
+      const BitReport& report = reports[static_cast<size_t>(i)];
+      SetReportSlot(&batch, i, report.bit_index, report.bit);
+    }
+    const TallyBatch tally = AggregateBatch(batch);
     for (int j = 0; j < bits; ++j) {
       EXPECT_EQ(tally.totals[static_cast<size_t>(j)], want.total(j)) << j;
       EXPECT_EQ(tally.ones[static_cast<size_t>(j)], want.ones(j)) << j;
@@ -344,14 +361,15 @@ TEST(KernelBatchTest, PerturbBatchReproducesThePerReportStream) {
   PerturbBatch(&batch, rr, batch_rng);
 
   Rng report_rng(77);
-  const std::vector<BitReport> perturbed = ToBitReports(batch);
-  ASSERT_EQ(perturbed.size(), static_cast<size_t>(n));
+  ASSERT_EQ(batch.count, n);
   for (int64_t i = 0; i < n; ++i) {
+    const int j = assignment[static_cast<size_t>(i)];
     const int want = rr.Apply(
-        FixedPointCodec::Bit(codewords[static_cast<size_t>(i)],
-                             assignment[static_cast<size_t>(i)]),
+        FixedPointCodec::Bit(codewords[static_cast<size_t>(i)], j),
         report_rng);
-    EXPECT_EQ(perturbed[static_cast<size_t>(i)].bit, want) << "slot " << i;
+    const int perturbed =
+        static_cast<int>((batch.plane(j)[i / 64] >> (i % 64)) & 1);
+    EXPECT_EQ(perturbed, want) << "slot " << i;
   }
   // Both paths left their streams at the same point.
   EXPECT_EQ(batch_rng.NextUint64(), report_rng.NextUint64());

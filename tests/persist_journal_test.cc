@@ -173,6 +173,39 @@ TEST_F(JournalFileTest, StalePreSnapshotPrefixIsSkipped) {
   EXPECT_FALSE(ReadJournal(path_, 1, &result, &error));
 }
 
+TEST_F(JournalFileTest, TruncatingASnapshotTruncatedJournalKeepsThePrefix) {
+  // After a snapshot the journal's first record carries seq > 0; the crash
+  // harnesses cut such journals without knowing the snapshot's next_seq.
+  WriteBytes(SampleJournal(7, 5));
+  std::string error;
+  ASSERT_TRUE(TruncateJournalToRecords(path_, 3, &error)) << error;
+  JournalReadResult result;
+  ASSERT_TRUE(ReadJournal(path_, 7, &result, &error)) << error;
+  ASSERT_EQ(result.records.size(), 3u);
+  EXPECT_EQ(result.records[0].seq, 7u);
+  EXPECT_EQ(result.next_seq, 10u);
+  EXPECT_FALSE(result.torn_tail);
+  const std::vector<uint8_t> want = SampleJournal(7, 3);
+  EXPECT_EQ(result.clean_length, want.size());
+  EXPECT_EQ(std::filesystem::file_size(path_), want.size());
+}
+
+TEST_F(JournalFileTest, TornTailIsReadAsTheCleanPrefix) {
+  WriteBytes(SampleJournal(4, 3));
+  const size_t two_records = SampleJournal(4, 2).size();
+  std::string error;
+  ASSERT_TRUE(TearJournalTail(path_, 1, &error)) << error;
+  JournalReadResult result;
+  ASSERT_TRUE(ReadWholeJournal(path_, &result, &error)) << error;
+  EXPECT_TRUE(result.torn_tail);
+  ASSERT_EQ(result.records.size(), 2u);
+  EXPECT_EQ(result.records[0].seq, 4u);
+  EXPECT_EQ(result.clean_length, two_records);
+  // Tearing a journal that does not exist is an error, not an empty file.
+  std::filesystem::remove(path_);
+  EXPECT_FALSE(TearJournalTail(path_, 1, &error));
+}
+
 TEST(JournalPayloadTest, RecordCodecsRoundTrip) {
   {
     const QueryStartedRecord record{3, 1, 42};

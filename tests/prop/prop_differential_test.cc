@@ -7,7 +7,7 @@
 //   * resilience machinery armed vs disabled on fault-free plans,
 //   * secure aggregation vs plaintext aggregation,
 //   * scalar kernel forced vs dispatched SIMD kernel (src/kernels/),
-//   * wire encode -> decode -> re-encode byte stability.
+//   * sharded vs single-coordinator execution (src/federated/shard/).
 //
 // Each case embeds every seed it uses, so a printed BITPROP_SEED replays
 // the whole differential run, including the crash point.
@@ -36,7 +36,6 @@
 #include "federated/round.h"
 #include "federated/shard/merge.h"
 #include "federated/shard/runner.h"
-#include "federated/wire.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
@@ -529,115 +528,6 @@ TEST(PropDifferentialTest, ShardedAndSingleCoordinatorAgreeBitForBit) {
         return std::nullopt;
       },
       options);
-}
-
-// ---------------------------------------------------------------------------
-// Oracle: wire encode -> decode -> re-encode stability.
-
-struct WireCase {
-  std::vector<BitReport> reports;
-  std::vector<BitRequest> requests;
-};
-
-Domain<WireCase> WireDomain() {
-  Domain<WireCase> domain;
-  domain.generate = [](Rng& rng) {
-    WireCase c;
-    c.reports.resize(rng.NextBelow(41));
-    for (BitReport& report : c.reports) {
-      report.client_id = static_cast<int64_t>(rng.NextBelow(1000000));
-      report.bit_index = static_cast<int>(rng.NextBelow(53));
-      report.bit = rng.NextBit();
-    }
-    c.requests.resize(rng.NextBelow(41));
-    for (BitRequest& request : c.requests) {
-      request.round_id = static_cast<int64_t>(rng.NextBelow(1000000));
-      request.value_id = static_cast<int64_t>(rng.NextBelow(64));
-      request.bit_index = static_cast<int>(rng.NextBelow(53));
-      request.rr_epsilon =
-          rng.NextBernoulli(0.5) ? 0.0 : 4.0 * rng.NextDouble();
-    }
-    return c;
-  };
-  domain.shrink = [](const WireCase& c) {
-    std::vector<WireCase> out;
-    if (!c.reports.empty()) {
-      WireCase smaller = c;
-      smaller.reports.resize(c.reports.size() / 2);
-      out.push_back(smaller);
-    }
-    if (!c.requests.empty()) {
-      WireCase smaller = c;
-      smaller.requests.resize(c.requests.size() / 2);
-      out.push_back(smaller);
-    }
-    return out;
-  };
-  domain.describe = [](const WireCase& c) {
-    std::ostringstream out;
-    out << "{reports=" << c.reports.size()
-        << " requests=" << c.requests.size() << "}";
-    return out.str();
-  };
-  return domain;
-}
-
-TEST(PropDifferentialTest, WireReEncodeIsByteStable) {
-  CheckProperty<WireCase>(
-      "encode -> decode -> re-encode of report and request batches is the "
-      "identity on bytes and fields",
-      WireDomain(),
-      [](const WireCase& c) -> std::optional<std::string> {
-        std::vector<uint8_t> report_bytes;
-        EncodeReportBatch(c.reports, &report_bytes);
-        std::vector<BitReport> decoded_reports;
-        if (!DecodeReportBatch(report_bytes, &decoded_reports)) {
-          return std::string("a valid report batch failed to decode");
-        }
-        if (decoded_reports.size() != c.reports.size()) {
-          return std::string("report batch changed size across the wire");
-        }
-        for (size_t i = 0; i < c.reports.size(); ++i) {
-          if (decoded_reports[i].client_id != c.reports[i].client_id ||
-              decoded_reports[i].bit_index != c.reports[i].bit_index ||
-              decoded_reports[i].bit != c.reports[i].bit) {
-            std::ostringstream out;
-            out << "report " << i << " changed across the wire";
-            return out.str();
-          }
-        }
-        std::vector<uint8_t> report_bytes2;
-        EncodeReportBatch(decoded_reports, &report_bytes2);
-        if (report_bytes2 != report_bytes) {
-          return std::string("re-encoded report batch bytes differ");
-        }
-
-        std::vector<uint8_t> request_bytes;
-        EncodeRequestBatch(c.requests, &request_bytes);
-        std::vector<BitRequest> decoded_requests;
-        if (!DecodeRequestBatch(request_bytes, &decoded_requests)) {
-          return std::string("a valid request batch failed to decode");
-        }
-        if (decoded_requests.size() != c.requests.size()) {
-          return std::string("request batch changed size across the wire");
-        }
-        for (size_t i = 0; i < c.requests.size(); ++i) {
-          if (decoded_requests[i].round_id != c.requests[i].round_id ||
-              decoded_requests[i].value_id != c.requests[i].value_id ||
-              decoded_requests[i].bit_index != c.requests[i].bit_index ||
-              decoded_requests[i].rr_epsilon != c.requests[i].rr_epsilon) {
-            std::ostringstream out;
-            out << "request " << i << " changed across the wire";
-            return out.str();
-          }
-        }
-        std::vector<uint8_t> request_bytes2;
-        EncodeRequestBatch(decoded_requests, &request_bytes2);
-        if (request_bytes2 != request_bytes) {
-          return std::string("re-encoded request batch bytes differ");
-        }
-        return std::nullopt;
-      });
 }
 
 }  // namespace

@@ -26,8 +26,11 @@
 #include "core/bit_probabilities.h"
 #include "core/fixed_point.h"
 #include "core/privacy_meter.h"
+#include "federated/client.h"
 #include "federated/dropout_secure_agg.h"
+#include "federated/faults.h"
 #include "federated/secure_agg.h"
+#include "federated/server.h"
 #include "federated/shamir.h"
 #include "ldp/randomized_response.h"
 #include "prop/bitprop.h"
@@ -768,6 +771,173 @@ TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
         decoded.EncodeTo(&re_encoded);
         if (re_encoded != encoded) {
           return "re-encoding the decoded meter produced different bytes";
+        }
+        return std::nullopt;
+      });
+}
+
+
+// ---------------------------------------------------------------------------
+// Round tally: every accepted report is tallied exactly once. RunRound
+// writes accepted report k into bit-plane slot k; backfill and hedge
+// clients come from the pool, so the planes are sized past the cohort and
+// the unfilled slots must count nowhere — on the plaintext popcount path
+// and on the secure-aggregation path alike.
+
+struct RoundTallyCase {
+  uint64_t data_seed = 0;   // client values
+  uint64_t round_seed = 0;  // RunRound's rng
+  uint64_t fault_seed = 0;
+  int bits = 1;
+  int64_t cohort = 1;
+  int64_t pool = 1;
+  FaultRates rates;
+  double client_dropout = 0.0;
+  bool finite_deadline = false;
+  int64_t backfill_rounds = 0;
+  int64_t retries = 0;
+  bool hedge = false;
+  bool finite_budget = false;
+  bool central = true;
+  bool secure = false;
+  double epsilon = 0.0;
+};
+
+Domain<RoundTallyCase> RoundTallyDomain() {
+  Domain<RoundTallyCase> domain;
+  domain.generate = [](Rng& rng) {
+    RoundTallyCase c;
+    c.data_seed = rng.NextUint64();
+    c.round_seed = rng.NextUint64();
+    c.fault_seed = rng.NextUint64();
+    c.bits = 1 + static_cast<int>(rng.NextBelow(8));
+    c.cohort = 1 + static_cast<int64_t>(rng.NextBelow(150));
+    c.pool = 1 + static_cast<int64_t>(rng.NextBelow(100));
+    // Five rates of at most 0.19 each: the plan needs them to sum to <= 1.
+    c.rates.mid_round_dropout = 0.19 * rng.NextDouble();
+    c.rates.straggler = 0.19 * rng.NextDouble();
+    c.rates.corrupt_message = 0.19 * rng.NextDouble();
+    c.rates.truncate_message = 0.19 * rng.NextDouble();
+    c.rates.round_boundary_crash = 0.19 * rng.NextDouble();
+    c.client_dropout = 0.3 * rng.NextDouble();
+    c.finite_deadline = rng.NextBit() == 1;
+    c.backfill_rounds = static_cast<int64_t>(rng.NextBelow(4));
+    c.retries = static_cast<int64_t>(rng.NextBelow(3));
+    c.hedge = rng.NextBit() == 1;
+    c.finite_budget = rng.NextBit() == 1;
+    c.central = rng.NextBit() == 1;
+    c.secure = rng.NextBit() == 1;
+    c.epsilon = rng.NextBit() == 1 ? 0.0 : 0.5 + 3.5 * rng.NextDouble();
+    return c;
+  };
+  domain.shrink = [](const RoundTallyCase& c) {
+    std::vector<RoundTallyCase> out;
+    if (c.cohort > 1) {
+      RoundTallyCase smaller = c;
+      smaller.cohort = c.cohort / 2;
+      out.push_back(smaller);
+    }
+    if (c.pool > 1) {
+      RoundTallyCase smaller = c;
+      smaller.pool = c.pool / 2;
+      out.push_back(smaller);
+    }
+    if (c.secure) {
+      RoundTallyCase smaller = c;
+      smaller.secure = false;
+      out.push_back(smaller);
+    }
+    if (c.hedge) {
+      RoundTallyCase smaller = c;
+      smaller.hedge = false;
+      out.push_back(smaller);
+    }
+    return out;
+  };
+  domain.describe = [](const RoundTallyCase& c) {
+    std::ostringstream out;
+    out << "{bits=" << c.bits << " cohort=" << c.cohort
+        << " pool=" << c.pool << " backfill_rounds=" << c.backfill_rounds
+        << " retries=" << c.retries << " hedge=" << c.hedge
+        << " finite_budget=" << c.finite_budget
+        << " finite_deadline=" << c.finite_deadline
+        << " central=" << c.central << " secure=" << c.secure
+        << " epsilon=" << c.epsilon << "}";
+    return out.str();
+  };
+  return domain;
+}
+
+TEST(PropInvariantsTest, RoundTallyCountsEveryAcceptedReportOnce) {
+  CheckProperty<RoundTallyCase>(
+      "sum_j histogram.total(j) == responded == comm.reports_received and "
+      "responded <= contacted, under faults, backfill and hedging",
+      RoundTallyDomain(),
+      [](const RoundTallyCase& c) -> std::optional<std::string> {
+        Rng data_rng(c.data_seed);
+        const uint64_t levels = uint64_t{1} << c.bits;
+        std::vector<double> values(static_cast<size_t>(c.cohort + c.pool));
+        for (double& v : values) {
+          v = static_cast<double>(data_rng.NextBelow(levels));
+        }
+        ClientConfig client_config;
+        client_config.dropout_probability = c.client_dropout;
+        const std::vector<Client> clients =
+            MakePopulation(values, client_config);
+        std::vector<int64_t> cohort;
+        for (int64_t i = 0; i < c.cohort; ++i) cohort.push_back(i);
+        const FaultPlan plan(c.fault_seed, c.rates);
+
+        RoundConfig config;
+        config.probabilities = GeometricProbabilities(c.bits, 0.5);
+        config.epsilon = c.epsilon;
+        config.central_randomness = c.central;
+        config.use_secure_aggregation = c.secure;
+        config.round_id = 1;
+        config.fault_plan = &plan;
+        if (c.finite_deadline) config.fault_policy.report_deadline_minutes = 5;
+        config.fault_policy.max_backfill_rounds = c.backfill_rounds;
+        for (int64_t i = c.cohort; i < c.cohort + c.pool; ++i) {
+          config.backfill_pool.push_back(i);
+        }
+        config.resilience.seed = c.fault_seed ^ 0x5EED;
+        config.resilience.retry.max_retries_per_client = c.retries;
+        config.resilience.hedge.enabled = c.hedge;
+        config.resilience.hedge.trigger_budget_fraction = 0.5;
+        // One contact per simulated minute, so a budget of about half the
+        // cohort forces pre-emptive hedges partway through the round.
+        config.resilience.latency.checkins_per_minute = 1.0;
+        if (c.finite_budget) {
+          config.resilience.budget.minutes =
+              static_cast<double>(c.cohort) / 2.0 + 1.0;
+        }
+
+        const AggregationServer server(FixedPointCodec::Integer(c.bits));
+        Rng rng(c.round_seed);
+        const RoundOutcome outcome =
+            server.RunRound(clients, cohort, config, nullptr, rng);
+
+        int64_t tallied = 0;
+        for (int j = 0; j < c.bits; ++j) {
+          tallied += outcome.histogram.total(j);
+        }
+        if (tallied != outcome.responded) {
+          std::ostringstream out;
+          out << "histogram holds " << tallied << " reports but "
+              << outcome.responded << " responded";
+          return out.str();
+        }
+        if (outcome.responded != outcome.comm.reports_received) {
+          std::ostringstream out;
+          out << outcome.responded << " responded but "
+              << outcome.comm.reports_received << " reports received";
+          return out.str();
+        }
+        if (outcome.responded > outcome.contacted) {
+          std::ostringstream out;
+          out << outcome.responded << " responded out of only "
+              << outcome.contacted << " contacted";
+          return out.str();
         }
         return std::nullopt;
       });

@@ -248,7 +248,8 @@ Domain<BitReport> BitReportDomain() {
 
 TEST(WireRoundTripProperty, RandomMessagesSurvive) {
   CheckProperty<BitReport>(
-      "a single report survives encode/decode field-for-field",
+      "a single report survives encode/decode field-for-field and "
+      "re-encodes to the same bytes",
       BitReportDomain(),
       [](const BitReport& report) -> std::optional<std::string> {
         std::vector<uint8_t> buffer;
@@ -258,38 +259,18 @@ TEST(WireRoundTripProperty, RandomMessagesSurvive) {
         if (!DecodeBitReport(buffer, &offset, &decoded)) {
           return std::string("decode failed on a freshly encoded report");
         }
+        if (offset != buffer.size()) {
+          return std::string("decode did not consume exactly one report");
+        }
         if (decoded.client_id != report.client_id ||
             decoded.bit_index != report.bit_index ||
             decoded.bit != report.bit) {
           return std::string("decoded fields differ from the original");
         }
-        return std::nullopt;
-      });
-}
-
-TEST(WireRoundTripProperty, RandomBatchesSurvive) {
-  CheckProperty<std::vector<BitReport>>(
-      "a report batch survives encode/decode element-for-element",
-      prop::VectorOf(BitReportDomain(), 0, 64),
-      [](const std::vector<BitReport>& reports)
-          -> std::optional<std::string> {
-        std::vector<uint8_t> buffer;
-        EncodeReportBatch(reports, &buffer);
-        std::vector<BitReport> decoded;
-        if (!DecodeReportBatch(buffer, &decoded)) {
-          return std::string("decode failed on a freshly encoded batch");
-        }
-        if (decoded.size() != reports.size()) {
-          return std::string("decoded batch size differs");
-        }
-        for (size_t i = 0; i < reports.size(); ++i) {
-          if (decoded[i].client_id != reports[i].client_id ||
-              decoded[i].bit_index != reports[i].bit_index ||
-              decoded[i].bit != reports[i].bit) {
-            std::ostringstream out;
-            out << "batch element " << i << " differs after round-trip";
-            return out.str();
-          }
+        std::vector<uint8_t> reencoded;
+        EncodeBitReport(decoded, &reencoded);
+        if (reencoded != buffer) {
+          return std::string("re-encoded report bytes differ");
         }
         return std::nullopt;
       });

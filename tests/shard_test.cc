@@ -329,7 +329,7 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
         clean_root + "/shard" + std::to_string(victim) + "/journal.wal";
     JournalReadResult contents;
     std::string error;
-    ASSERT_TRUE(ReadShardJournal(journal, &contents, &error)) << error;
+    ASSERT_TRUE(ReadWholeJournal(journal, &contents, &error)) << error;
     const int64_t records = static_cast<int64_t>(contents.records.size());
     ASSERT_GT(records, 0);
 
@@ -342,7 +342,7 @@ TEST(ShardKillMatrixTest, KillAnyShardAtEveryRecordRecoversCleanMerge) {
                             std::filesystem::copy_options::recursive);
       const std::string cut_journal =
           root + "/shard" + std::to_string(victim) + "/journal.wal";
-      ASSERT_TRUE(TruncateShardJournalToRecords(
+      ASSERT_TRUE(TruncateJournalToRecords(
           cut_journal, static_cast<size_t>(keep), &error))
           << error;
 

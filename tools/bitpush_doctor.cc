@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "federated/shard/shard.h"
 #include "obs/export.h"
 #include "persist/journal.h"
 #include "util/flags.h"
@@ -140,9 +139,9 @@ void AppendJournalSection(const std::string& state_dir, std::string* report) {
   *report += "== journal (" + journal_path + ") ==\n";
   JournalReadResult result;
   std::string error;
-  // ReadShardJournal tolerates a first sequence number > 0 — the normal
+  // ReadWholeJournal tolerates a first sequence number > 0 — the normal
   // state of a journal truncated by a snapshot.
-  if (!ReadShardJournal(journal_path, &result, &error)) {
+  if (!ReadWholeJournal(journal_path, &result, &error)) {
     *report += "UNREADABLE: " + error + "\n";
     *report += "(hard corruption — recovery would fail closed here)\n\n";
     return;
