@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: configure, build, run every test, run every benchmark.
+# Full verification: configure, run the static analyzer (bitpush_lint),
+# build, run every test, run every benchmark.
 # Usage: scripts/check.sh [--long] [build-dir]
 #
 # --long raises BITPROP_ITERS so every bitprop property (tests/prop/) runs
@@ -23,22 +24,15 @@ fi
 
 cmake -B "$BUILD_DIR" -G Ninja
 
-# Lint stage first: project-invariant violations (determinism, privacy
-# metering, wire exhaustiveness, obs stability, header hygiene) should
-# fail the run in seconds, before any expensive sanitizer build starts.
-# The waiver budget is printed so reviewers can watch it grow.
+# Static-analysis stage first: bitpush_lint's seven check families
+# (determinism, privacy metering, wire exhaustiveness, obs stability,
+# header hygiene, and the cross-TU privacy-taint and determinism-flow
+# passes) should fail the run in seconds, before any expensive sanitizer
+# build starts. The waiver budget is printed so reviewers can watch it
+# grow.
 cmake --build "$BUILD_DIR" --target bitpush_lint
 "$BUILD_DIR/tools/bitpush_lint" --root=. --list-waivers
 "$BUILD_DIR/tools/bitpush_lint" --root=.
-
-# Dataflow stage: the cross-TU passes (privacy-taint from client values to
-# wire/journal/obs sinks, determinism-flow over Rng seed lineage) catch
-# what the token-level lint cannot — a leak laundered through a helper in
-# another TU. Same contract as the lint stage: waiver budget printed,
-# unwaived findings fail the run.
-cmake --build "$BUILD_DIR" --target bitpush_analyze
-"$BUILD_DIR/tools/bitpush_analyze" --root=. --list-waivers
-"$BUILD_DIR/tools/bitpush_analyze" --root=.
 
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
@@ -184,11 +178,6 @@ for b in "$BUILD_DIR"/bench/*; do
     BITPUSH_OBS_BENCH_JSON="$BUILD_DIR/BENCH_obs_overhead.json" \
       "$b" --benchmark_out="$BUILD_DIR/BENCH_micro_throughput.json" \
       --benchmark_out_format=json
-  elif [[ "$(basename "$b")" == bench_shard_scaling ]]; then
-    # Modeled shard-out tick time: the shards run one after another on
-    # one thread and the figure takes the slowest (docs/SHARDING.md §8).
-    # The JSON lands next to the other BENCH_* artifacts.
-    BITPUSH_SHARD_BENCH_JSON="$BUILD_DIR/BENCH_shard_scaling.json" "$b"
   else
     "$b"
   fi

@@ -1,7 +1,7 @@
 // Bad: one waiver missing its reason string, one naming an unknown
 // check.
-// bitpush-analyze: allow(determinism-flow):
-// bitpush-analyze: allow(bogus-check): exporter is intentionally raw here
+// bitpush-lint: allow(determinism-flow):
+// bitpush-lint: allow(bogus-check): exporter is intentionally raw here
 namespace bitpush {
 
 constexpr int kUnused = 0;

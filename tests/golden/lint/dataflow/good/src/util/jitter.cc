@@ -5,7 +5,7 @@
 namespace bitpush {
 
 uint64_t JitterEntropy() {
-  // bitpush-analyze: allow(determinism-flow): warm-up jitter feeds only the bench harness, outside the replay envelope
+  // bitpush-lint: allow(determinism-flow): warm-up jitter feeds only the bench harness, outside the replay envelope
   Rng rng(12345);
   return rng.NextUint64();
 }

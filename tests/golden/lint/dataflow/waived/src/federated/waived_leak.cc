@@ -1,7 +1,7 @@
 // Waived: this calibration path discloses synthetic codewords only; the
 // privacy-taint waiver is file-scoped because the taint and the sink are
 // far apart.
-// bitpush-analyze: allow(privacy-taint): calibration fixture discloses synthetic codewords, never client values
+// bitpush-lint: allow(privacy-taint): calibration fixture discloses synthetic codewords, never client values
 #include <vector>
 
 namespace bitpush {

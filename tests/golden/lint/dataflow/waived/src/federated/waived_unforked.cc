@@ -4,7 +4,7 @@
 namespace bitpush {
 
 double SmokeSample() {
-  // bitpush-analyze: allow(determinism-flow): smoke probe stream never crosses a replay boundary
+  // bitpush-lint: allow(determinism-flow): smoke probe stream never crosses a replay boundary
   Rng rng(7);
   return rng.NextDouble();
 }

@@ -4,7 +4,7 @@
 namespace bitpush::kernels {
 
 uint64_t SeedProbe(Rng& rng, uint64_t word) {
-  // bitpush-analyze: allow(determinism-flow): self-test probe compiled out of release kernels
+  // bitpush-lint: allow(determinism-flow): self-test probe compiled out of release kernels
   return word ^ rng.NextUint64();
 }
 

@@ -1,15 +1,22 @@
 // Validates bitpush_lint against the fixture trees under
-// tests/golden/lint/. Each tree is a miniature lint root:
+// tests/golden/lint/. Each tree is a miniature lint root, run with the
+// check families it was written for:
 //
-//   bad/      every check family fires a known number of times, and the
-//             waivers present suppress exactly what they claim to.
+//   bad/      every token-level family fires a known number of times, and
+//             the waivers present suppress exactly what they claim to.
 //   good/     a fully compliant tree (including one budgeted waiver)
 //             produces zero findings.
 //   fixmode/  mechanically repairable problems; copied to a temp dir and
 //             run through --fix, which must leave the copy clean.
+//   dataflow/bad/     every planted privacy-taint / determinism-flow
+//                     violation is found, with exact counts per check and
+//                     the cross-TU provenance chain printed in the message.
+//   dataflow/good/    contractual code is clean; one deliberate, reasoned
+//                     waiver lands in the budget instead of the findings.
+//   dataflow/waived/  the three dataflow violation shapes, each waived.
 //
-// A final case lints the real repository tree, so `ctest` itself fails if
-// an invariant violation lands without a waiver.
+// A final case runs all seven families over the real repository tree, so
+// `ctest` itself fails if an invariant violation lands without a waiver.
 
 #include <filesystem>
 #include <fstream>
@@ -30,6 +37,22 @@ std::string FixtureRoot(const std::string& tree) {
   return std::string(BITPUSH_LINT_FIXTURE_DIR) + "/" + tree;
 }
 
+// The five token-level families (fixtures bad/, good/, fixmode/) and the
+// two dataflow families (fixtures dataflow/*).
+Options LintFamilies() {
+  Options options;
+  options.checks = {Check::kDeterminism, Check::kPrivacyMetering,
+                    Check::kWireExhaustiveness, Check::kObsStability,
+                    Check::kHeaderHygiene};
+  return options;
+}
+
+Options DataflowFamilies() {
+  Options options;
+  options.checks = {Check::kPrivacyTaint, Check::kDeterminismFlow};
+  return options;
+}
+
 std::map<Check, int> CountByCheck(const Result& result) {
   std::map<Check, int> counts;
   for (const Finding& finding : result.findings) ++counts[finding.check];
@@ -44,7 +67,7 @@ std::string ReadFile(const fs::path& path) {
 }
 
 TEST(LintTest, BadTreeFiresEveryCheckFamily) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   EXPECT_EQ(result.files_scanned, 18);
 
@@ -64,7 +87,7 @@ TEST(LintTest, BadTreeFiresEveryCheckFamily) {
 }
 
 TEST(LintTest, ShardLayerMeteringRulesFireAndComply) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
 
   // A shard TU that discloses bits without touching the shard-local meter,
@@ -90,7 +113,7 @@ TEST(LintTest, ShardLayerMeteringRulesFireAndComply) {
 }
 
 TEST(LintTest, BadTreeConfinesIntrinsicsHeadersToKernels) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   int intrinsics_findings = 0;
   for (const Finding& finding : result.findings) {
@@ -105,7 +128,7 @@ TEST(LintTest, BadTreeConfinesIntrinsicsHeadersToKernels) {
 }
 
 TEST(LintTest, BadTreeWaiversSuppressAndEnterTheBudget) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
 
   // The two well-formed waivers (file-scoped privacy-metering, line-scoped
@@ -128,7 +151,7 @@ TEST(LintTest, BadTreeWaiversSuppressAndEnterTheBudget) {
 }
 
 TEST(LintTest, BadTreeWireFindingsNameTheGhostRecord) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   int ghost_findings = 0;
   for (const Finding& finding : result.findings) {
@@ -142,7 +165,7 @@ TEST(LintTest, BadTreeWireFindingsNameTheGhostRecord) {
 }
 
 TEST(LintTest, BadTreeShardWireHeaderFiresAllSixNewRules) {
-  const Result result = RunLint(FixtureRoot("bad"), Options{});
+  const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   int merge_findings = 0;
   for (const Finding& finding : result.findings) {
@@ -186,8 +209,25 @@ TEST(LintTest, ChecksFilterRestrictsFamiliesButNotWaiverSyntax) {
   EXPECT_EQ(result.findings.size(), 8u) << FormatReport(result);
 }
 
+// One filter can name token-level and dataflow families together: the
+// dataflow bad tree's two direct leaks are privacy-metering findings (no
+// charge path in the TU) as well as privacy-taint findings, and nothing
+// outside the filter (determinism-flow, header-hygiene) is reported.
+TEST(LintTest, ChecksFilterMixesLintAndDataflowFamilies) {
+  Options options;
+  options.checks = {Check::kPrivacyMetering, Check::kPrivacyTaint};
+  const Result result = RunLint(FixtureRoot("dataflow/bad"), options);
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  const std::map<Check, int> counts = CountByCheck(result);
+  EXPECT_EQ(counts.size(), 3u) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kPrivacyMetering), 2) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kPrivacyTaint), 4) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kWaiverSyntax), 2);  // always enabled
+  EXPECT_EQ(result.findings.size(), 8u) << FormatReport(result);
+}
+
 TEST(LintTest, GoodTreeIsCleanWithOneBudgetedWaiver) {
-  const Result result = RunLint(FixtureRoot("good"), Options{});
+  const Result result = RunLint(FixtureRoot("good"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   EXPECT_TRUE(result.findings.empty()) << FormatReport(result);
   EXPECT_EQ(result.waivers.size(), 1u) << FormatWaiverReport(result);
@@ -202,14 +242,14 @@ TEST(LintTest, FixModeRepairsGuardsAndNormalizesWaivers) {
 
   // Pre-fix: a wrong guard, a malformed waiver, and the wall-clock read
   // the waiver fails to suppress.
-  const Result before = RunLint(temp.string(), Options{});
+  const Result before = RunLint(temp.string(), LintFamilies());
   ASSERT_FALSE(before.io_error) << before.io_error_message;
   const std::map<Check, int> counts = CountByCheck(before);
   EXPECT_EQ(counts.at(Check::kHeaderHygiene), 1) << FormatReport(before);
   EXPECT_EQ(counts.at(Check::kWaiverSyntax), 1) << FormatReport(before);
   EXPECT_EQ(counts.at(Check::kDeterminism), 1) << FormatReport(before);
 
-  Options fix_options;
+  Options fix_options = LintFamilies();
   fix_options.fix = true;
   const Result fixed = RunLint(temp.string(), fix_options);
   ASSERT_FALSE(fixed.io_error) << fixed.io_error_message;
@@ -245,14 +285,129 @@ TEST(LintTest, MissingRootIsAnIoErrorNotACrash) {
   EXPECT_FALSE(result.io_error_message.empty());
 }
 
-// The real tree must stay lint-clean: this is the same gate as the lint
-// stage of scripts/check.sh, enforced here so a plain `ctest` run catches
-// an unwaived invariant violation too.
+// The real tree must stay clean under all seven families: this is the
+// same gate as the static-analysis stage of scripts/check.sh, enforced
+// here so a plain `ctest` run catches an unwaived violation too. The
+// waiver count is the budget; a new waiver changes it here on purpose.
 TEST(LintTest, RealTreeHasNoUnwaivedViolations) {
   const Result result = RunLint(BITPUSH_LINT_SOURCE_ROOT, Options{});
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   EXPECT_TRUE(result.findings.empty()) << FormatReport(result);
+  EXPECT_EQ(result.waivers.size(), 13u) << FormatWaiverReport(result);
   EXPECT_GT(result.files_scanned, 100) << "lint walked a truncated tree";
+  EXPECT_GT(result.functions_indexed, 500) << "index missed definitions";
+}
+
+TEST(LintDataflowTest, BadTreeFindsAllPlantedViolations) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  EXPECT_EQ(result.files_scanned, 10);
+  const std::map<Check, int> counts = CountByCheck(result);
+  EXPECT_EQ(counts.at(Check::kPrivacyTaint), 4) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kDeterminismFlow), 3) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kWaiverSyntax), 2) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 9u) << FormatReport(result);
+  EXPECT_TRUE(result.waivers.empty());
+}
+
+TEST(LintDataflowTest, BadTreePrintsCrossTuProvenanceChain) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error);
+  // The sink.cc finding's taint originates two files away, in
+  // producer.cc; the message must carry the whole chain.
+  bool found = false;
+  for (const Finding& finding : result.findings) {
+    if (finding.path != "src/federated/sink.cc") continue;
+    found = true;
+    EXPECT_EQ(finding.check, Check::kPrivacyTaint);
+    EXPECT_NE(finding.message.find("call to BuildRaw"), std::string::npos)
+        << finding.message;
+    EXPECT_NE(finding.message.find("src/federated/producer.cc"),
+              std::string::npos)
+        << finding.message;
+    EXPECT_NE(finding.message.find("FixedPointCodec::Bit"),
+              std::string::npos)
+        << finding.message;
+  }
+  EXPECT_TRUE(found) << FormatReport(result);
+}
+
+TEST(LintDataflowTest, BadTreeFlagsChargeAfterDisclosure) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error);
+  bool found = false;
+  for (const Finding& finding : result.findings) {
+    if (finding.path != "src/federated/charge_order.cc") continue;
+    found = true;
+    EXPECT_EQ(finding.check, Check::kPrivacyTaint);
+    EXPECT_NE(finding.message.find("before the privacy-meter charge"),
+              std::string::npos)
+        << finding.message;
+  }
+  EXPECT_TRUE(found) << FormatReport(result);
+}
+
+// JournalWriter::Append is the journal's only append call; a raw codeword
+// bit handed to it must be a tainted-sink finding.
+TEST(LintDataflowTest, BadTreeFlagsRawBitReachingJournalAppend) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error);
+  int found = 0;
+  for (const Finding& finding : result.findings) {
+    if (finding.path != "src/persist/journal_leak.cc") continue;
+    ++found;
+    EXPECT_EQ(finding.check, Check::kPrivacyTaint);
+    EXPECT_NE(finding.message.find("journal append"), std::string::npos)
+        << finding.message;
+  }
+  EXPECT_EQ(found, 1) << FormatReport(result);
+}
+
+TEST(LintDataflowTest, ChecksFilterRestrictsFindings) {
+  Options options;
+  options.checks = {Check::kDeterminismFlow};
+  const Result result = RunLint(FixtureRoot("dataflow/bad"), options);
+  ASSERT_FALSE(result.io_error);
+  // waiver-syntax stays on regardless of the filter.
+  const std::map<Check, int> counts = CountByCheck(result);
+  EXPECT_EQ(counts.count(Check::kPrivacyTaint), 0u) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kDeterminismFlow), 3) << FormatReport(result);
+  EXPECT_EQ(counts.at(Check::kWaiverSyntax), 2) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 5u) << FormatReport(result);
+}
+
+TEST(LintDataflowTest, GoodTreeIsCleanWithOneBudgetedWaiver) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/good"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  EXPECT_TRUE(result.findings.empty()) << FormatReport(result);
+  ASSERT_EQ(result.waivers.size(), 1u);
+  EXPECT_EQ(result.waivers[0].check, Check::kDeterminismFlow);
+  EXPECT_EQ(result.files_scanned, 2);
+}
+
+TEST(LintDataflowTest, WaivedTreeSuppressesAllThreeShapes) {
+  const Result result =
+      RunLint(FixtureRoot("dataflow/waived"), DataflowFamilies());
+  ASSERT_FALSE(result.io_error) << result.io_error_message;
+  EXPECT_TRUE(result.findings.empty()) << FormatReport(result);
+  EXPECT_EQ(result.waivers.size(), 3u);
+  const std::string report = FormatWaiverReport(result);
+  EXPECT_NE(report.find("3 waiver(s) in budget"), std::string::npos)
+      << report;
+}
+
+TEST(LintDataflowTest, ReportIsByteIdenticalAcrossRuns) {
+  const Result first =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  const Result second =
+      RunLint(FixtureRoot("dataflow/bad"), DataflowFamilies());
+  EXPECT_EQ(FormatReport(first), FormatReport(second));
+  EXPECT_EQ(FormatWaiverReport(first), FormatWaiverReport(second));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Cross-TU declaration index for the bitpush dataflow analyzer
-// (tools/bitpush_analyze).
+// Cross-TU declaration index for the dataflow check families of
+// bitpush_lint (tools/bitpush_lint/dataflow.cc).
 //
 // Built on the analysis_core source model, the index extracts — with a
 // token-level heuristic, no compiler involved —
@@ -19,8 +19,8 @@
 // (`const`, `noexcept`, `override`, a constructor init list, a trailing
 // return type, or nothing), and skips preprocessor lines entirely.
 // Lambdas assigned inside bodies, operator overloads, and macro-generated
-// functions are not indexed; the analyzer's token rules do not depend on
-// them.
+// functions are not indexed; the dataflow families' token rules do not
+// depend on them.
 
 #ifndef BITPUSH_TOOLS_ANALYSIS_CORE_INDEX_H_
 #define BITPUSH_TOOLS_ANALYSIS_CORE_INDEX_H_

@@ -1,5 +1,6 @@
-// Shared source model for the bitpush static-analysis tools
-// (tools/bitpush_lint, tools/bitpush_analyze).
+// Source model for the bitpush static analyzer (tools/bitpush_lint). The
+// token-level checks read its lexed lines; the declaration index that the
+// dataflow families walk (index.h) is built from them.
 //
 // A file is split into per-line *code* text (string/char-literal contents
 // and comments blanked out) and per-line *comment* text. The split lets
@@ -11,9 +12,9 @@
 //
 // LoadTree walks <root>/{src,tests,bench,tools}, skipping directories
 // named "golden" (fixture snippets — including the deliberately-broken
-// inputs of tests/golden/lint/ and tests/golden/analyze/ — must not count
-// against the real tree), and returns the files sorted by relative path so
-// every consumer reports findings in a stable order.
+// inputs of tests/golden/lint/ — must not count against the real tree),
+// and returns the files sorted by relative path so every consumer reports
+// findings in a stable order.
 
 #ifndef BITPUSH_TOOLS_ANALYSIS_CORE_SOURCE_MODEL_H_
 #define BITPUSH_TOOLS_ANALYSIS_CORE_SOURCE_MODEL_H_
@@ -67,7 +68,7 @@ TreeLoadResult LoadTree(const std::string& root);
 //
 //   // <marker>: allow(<check-name>): <reason>
 //
-// The check-name vocabulary belongs to the calling tool; this parser only
+// The check-name vocabulary belongs to the caller; this parser only
 // enforces the shape and the mandatory reason. Backtick-quoted mentions
 // (`<marker>: ...`) are prose about the syntax, not annotations.
 

@@ -1,18 +1,17 @@
-#include "bitpush_analyze/analyze.h"
+#include "bitpush_lint/dataflow.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis_core/index.h"
 #include "analysis_core/source_model.h"
 
-namespace bitpush::analyze {
+namespace bitpush::lint {
 namespace {
 
 using analysis::FunctionDef;
@@ -22,21 +21,7 @@ using analysis::StartsWith;
 using analysis::Statement;
 
 // ---------------------------------------------------------------------------
-// Check names.
-
-struct CheckNameEntry {
-  Check check;
-  const char* name;
-};
-
-constexpr CheckNameEntry kCheckNames[] = {
-    {Check::kPrivacyTaint, "privacy-taint"},
-    {Check::kDeterminismFlow, "determinism-flow"},
-    {Check::kWaiverSyntax, "waiver-syntax"},
-};
-
-// ---------------------------------------------------------------------------
-// Token model of the privacy-taint pass (see analyze.h and
+// Token model of the privacy-taint pass (see lint.h and
 // docs/STATIC_ANALYSIS.md for the prose version).
 
 // Sources: expressions that read raw client values or raw codeword bits.
@@ -67,7 +52,7 @@ const std::vector<std::pair<std::regex, std::string>>& SinkRules() {
          "wire encoder"},
         {R"(\bEncodeShard(TickFrame|Metrics)\s*\()", "shard wire encoder"},
         {R"(\bEncode[A-Za-z0-9_]+Record\s*\()", "journal record codec"},
-        {R"((\.|->)\s*AppendRecord\s*\()", "journal append"},
+        {R"((\.|->)\s*Append\s*\()", "journal append"},
         {R"(\bEmitEvent\s*\()", "obs event emission"},
         {R"(\b(PrometheusText|MetricsJsonl|DeterministicMetricsSnapshot|ChromeTraceJson|EventsJsonl|DeterministicEventsSnapshot|AlertTimelineText)\s*\()",
          "obs exporter"},
@@ -345,8 +330,10 @@ Summary WalkFunction(const Index& index, const FnInfo& info,
   return out;
 }
 
-void RunPrivacyTaint(const Index& index, const std::vector<FnInfo>& infos,
-                     std::vector<Finding>* findings) {
+}  // namespace
+
+void RunPrivacyTaint(const Index& index, std::vector<Finding>* findings) {
+  const std::vector<FnInfo> infos = PreprocessFunctions(index);
   std::vector<Summary> summaries(index.functions.size());
   // Fixpoint over summaries: flags propagate through at most one call
   // chain link per iteration; real chains are shallow, so cap generously.
@@ -369,6 +356,8 @@ void RunPrivacyTaint(const Index& index, const std::vector<FnInfo>& infos,
     WalkFunction(index, info, summaries, findings);
   }
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Determinism-flow pass.
@@ -476,8 +465,9 @@ void CheckRngReuseAcrossReplay(const Index& index, const FunctionDef& fn,
   }
 }
 
-void RunDeterminismFlow(const Index& index,
-                        std::vector<Finding>* findings) {
+}  // namespace
+
+void RunDeterminismFlow(const Index& index, std::vector<Finding>* findings) {
   // Per-file map of lines covered by an indexed function body, so the
   // namespace-scope scan below doesn't double-report statement findings.
   std::vector<std::vector<bool>> in_function(index.files.size());
@@ -543,159 +533,4 @@ void RunDeterminismFlow(const Index& index,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Waivers.
-
-struct ParsedWaivers {
-  std::vector<Waiver> waivers;
-  std::vector<Finding> syntax_findings;
-};
-
-ParsedWaivers ParseWaivers(const SourceFile& file) {
-  ParsedWaivers out;
-  const analysis::ParsedAnnotations parsed =
-      analysis::ParseAnnotations(file, "bitpush-analyze");
-  for (const analysis::MalformedAnnotation& bad : parsed.malformed) {
-    if (bad.missing_reason) {
-      out.syntax_findings.push_back(
-          {file.rel_path, bad.line, Check::kWaiverSyntax,
-           "waiver for `" + bad.check_name +
-               "` is missing its reason string"});
-    } else {
-      out.syntax_findings.push_back(
-          {file.rel_path, bad.line, Check::kWaiverSyntax,
-           "malformed bitpush-analyze annotation; expected "
-           "`// bitpush-analyze: allow(<check>): <reason>`"});
-    }
-  }
-  for (const analysis::Annotation& annotation : parsed.annotations) {
-    Check check;
-    if (!ParseCheckName(annotation.check_name, &check) ||
-        check == Check::kWaiverSyntax) {
-      out.syntax_findings.push_back(
-          {file.rel_path, annotation.line, Check::kWaiverSyntax,
-           "unknown analyze check `" + annotation.check_name +
-               "` in waiver"});
-      continue;
-    }
-    out.waivers.push_back(
-        {file.rel_path, annotation.line, check, annotation.reason});
-  }
-  return out;
-}
-
-// privacy-taint is a whole-TU property (the taint may originate lines away
-// from the sink), so its waivers are file-scoped; determinism-flow waivers
-// cover lines L and L+1 like the linter's.
-bool IsSuppressed(const Finding& finding, const std::vector<Waiver>& waivers) {
-  for (const Waiver& waiver : waivers) {
-    if (waiver.check != finding.check || waiver.path != finding.path) continue;
-    if (finding.check == Check::kPrivacyTaint) return true;
-    if (finding.line == waiver.line || finding.line == waiver.line + 1) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CheckEnabled(const Options& options, Check check) {
-  if (check == Check::kWaiverSyntax) return true;
-  if (options.checks.empty()) return true;
-  return std::find(options.checks.begin(), options.checks.end(), check) !=
-         options.checks.end();
-}
-
-}  // namespace
-
-std::string CheckName(Check check) {
-  for (const CheckNameEntry& entry : kCheckNames) {
-    if (entry.check == check) return entry.name;
-  }
-  return "unknown";
-}
-
-bool ParseCheckName(const std::string& name, Check* out) {
-  for (const CheckNameEntry& entry : kCheckNames) {
-    if (name == entry.name) {
-      *out = entry.check;
-      return true;
-    }
-  }
-  return false;
-}
-
-Result RunAnalyze(const std::string& root, const Options& options) {
-  Result result;
-  analysis::TreeLoadResult tree = analysis::LoadTree(root);
-  if (tree.io_error) {
-    result.io_error = true;
-    result.io_error_message = std::move(tree.io_error_message);
-    return result;
-  }
-  const Index index = analysis::BuildIndex(std::move(tree.files));
-  result.files_scanned = static_cast<int>(index.files.size());
-  result.functions_indexed = static_cast<int>(index.functions.size());
-
-  std::vector<Finding> raw_findings;
-  std::vector<Waiver> all_waivers;
-  for (const SourceFile& file : index.files) {
-    ParsedWaivers parsed = ParseWaivers(file);
-    for (Finding& finding : parsed.syntax_findings) {
-      raw_findings.push_back(std::move(finding));
-    }
-    for (Waiver& waiver : parsed.waivers) {
-      all_waivers.push_back(std::move(waiver));
-    }
-  }
-
-  if (CheckEnabled(options, Check::kPrivacyTaint)) {
-    const std::vector<FnInfo> infos = PreprocessFunctions(index);
-    RunPrivacyTaint(index, infos, &raw_findings);
-  }
-  if (CheckEnabled(options, Check::kDeterminismFlow)) {
-    RunDeterminismFlow(index, &raw_findings);
-  }
-
-  for (Finding& finding : raw_findings) {
-    if (IsSuppressed(finding, all_waivers)) continue;
-    result.findings.push_back(std::move(finding));
-  }
-  std::sort(result.findings.begin(), result.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.path != b.path) return a.path < b.path;
-              if (a.line != b.line) return a.line < b.line;
-              return CheckName(a.check) < CheckName(b.check);
-            });
-  result.waivers = std::move(all_waivers);
-  std::sort(result.waivers.begin(), result.waivers.end(),
-            [](const Waiver& a, const Waiver& b) {
-              if (a.path != b.path) return a.path < b.path;
-              return a.line < b.line;
-            });
-  return result;
-}
-
-std::string FormatReport(const Result& result) {
-  std::ostringstream out;
-  for (const Finding& finding : result.findings) {
-    out << finding.path << ":" << finding.line << ": ["
-        << CheckName(finding.check) << "] " << finding.message << "\n";
-  }
-  out << "bitpush_analyze: " << result.findings.size() << " finding(s), "
-      << result.waivers.size() << " waiver(s) in budget, "
-      << result.files_scanned << " file(s) scanned, "
-      << result.functions_indexed << " function(s) indexed\n";
-  return out.str();
-}
-
-std::string FormatWaiverReport(const Result& result) {
-  std::ostringstream out;
-  for (const Waiver& waiver : result.waivers) {
-    out << waiver.path << ":" << waiver.line << ": allow("
-        << CheckName(waiver.check) << "): " << waiver.reason << "\n";
-  }
-  out << result.waivers.size() << " waiver(s) in budget\n";
-  return out.str();
-}
-
-}  // namespace bitpush::analyze
+}  // namespace bitpush::lint

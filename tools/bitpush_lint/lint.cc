@@ -14,16 +14,18 @@
 #include <utility>
 #include <vector>
 
+#include "analysis_core/index.h"
 #include "analysis_core/source_model.h"
+#include "bitpush_lint/dataflow.h"
 
 namespace bitpush::lint {
 namespace {
 
 namespace fs = std::filesystem;
 
-// The tokenizer/source model is shared with bitpush_analyze
-// (tools/analysis_core/); the lint checks operate on its code/comment
-// channels unchanged.
+// The token-level checks operate on the code/comment channels of the
+// shared source model (tools/analysis_core/); the dataflow families in
+// dataflow.cc walk the declaration index built over the same files.
 using analysis::SourceFile;
 using analysis::StartsWith;
 using analysis::Trim;
@@ -42,6 +44,8 @@ constexpr CheckNameEntry kCheckNames[] = {
     {Check::kWireExhaustiveness, "wire-exhaustiveness"},
     {Check::kObsStability, "obs-stability"},
     {Check::kHeaderHygiene, "header-hygiene"},
+    {Check::kPrivacyTaint, "privacy-taint"},
+    {Check::kDeterminismFlow, "determinism-flow"},
     {Check::kWaiverSyntax, "waiver-syntax"},
 };
 
@@ -54,7 +58,6 @@ constexpr CheckNameEntry kCheckNames[] = {
 bool IsWallClockAllowlisted(const std::string& rel_path) {
   return StartsWith(rel_path, "src/obs/") ||
          rel_path == "bench/bench_micro_throughput.cc" ||
-         rel_path == "bench/bench_shard_scaling.cc" ||
          rel_path == "bench/bench_common.cc" || rel_path == "bench/bench_common.h";
 }
 
@@ -101,12 +104,16 @@ ParsedWaivers ParseWaivers(const SourceFile& file) {
 }
 
 // A waiver on line L suppresses findings of its check on lines L and L+1
-// of the same file. privacy-metering is a whole-TU property, so its
+// of the same file. privacy-metering and privacy-taint are whole-TU
+// properties (a taint may originate lines away from its sink), so their
 // waivers are file-scoped.
 bool IsSuppressed(const Finding& finding, const std::vector<Waiver>& waivers) {
   for (const Waiver& waiver : waivers) {
     if (waiver.check != finding.check || waiver.path != finding.path) continue;
-    if (finding.check == Check::kPrivacyMetering) return true;
+    if (finding.check == Check::kPrivacyMetering ||
+        finding.check == Check::kPrivacyTaint) {
+      return true;
+    }
     if (finding.line == waiver.line || finding.line == waiver.line + 1) {
       return true;
     }
@@ -747,11 +754,8 @@ Result RunLint(const std::string& root, const Options& options) {
     result.io_error_message = std::move(tree.io_error_message);
     return result;
   }
-  std::vector<SourceFile> files = std::move(tree.files);
-  result.files_scanned = static_cast<int>(files.size());
-
   if (options.fix) {
-    for (SourceFile& file : files) {
+    for (SourceFile& file : tree.files) {
       if (!FixFile(&file)) continue;
       std::ofstream out(file.abs_path, std::ios::binary | std::ios::trunc);
       if (!out) {
@@ -765,6 +769,10 @@ Result RunLint(const std::string& root, const Options& options) {
       result.fixed_paths.push_back(file.rel_path);
     }
   }
+  const analysis::Index index = analysis::BuildIndex(std::move(tree.files));
+  const std::vector<SourceFile>& files = index.files;
+  result.files_scanned = static_cast<int>(files.size());
+  result.functions_indexed = static_cast<int>(index.functions.size());
 
   std::vector<Finding> raw_findings;
   std::vector<Waiver> all_waivers;
@@ -794,6 +802,12 @@ Result RunLint(const std::string& root, const Options& options) {
   if (CheckEnabled(options, Check::kWireExhaustiveness)) {
     CheckWireExhaustiveness(files, &raw_findings);
   }
+  if (CheckEnabled(options, Check::kPrivacyTaint)) {
+    RunPrivacyTaint(index, &raw_findings);
+  }
+  if (CheckEnabled(options, Check::kDeterminismFlow)) {
+    RunDeterminismFlow(index, &raw_findings);
+  }
 
   for (Finding& finding : raw_findings) {
     if (IsSuppressed(finding, all_waivers)) continue;
@@ -822,7 +836,8 @@ std::string FormatReport(const Result& result) {
   }
   out << "bitpush_lint: " << result.findings.size() << " violation(s), "
       << result.waivers.size() << " waiver(s) in budget, "
-      << result.files_scanned << " file(s) scanned";
+      << result.files_scanned << " file(s) scanned, "
+      << result.functions_indexed << " function(s) indexed";
   if (!result.fixed_paths.empty()) {
     out << ", " << result.fixed_paths.size() << " file(s) fixed";
   }

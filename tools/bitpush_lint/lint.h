@@ -3,13 +3,15 @@
 // The repository carries three machine-checkable contracts that ordinary
 // compilers cannot see: seeded determinism (crash-recovered campaigns must
 // replay byte-identically — docs/PERSISTENCE.md), bit-level privacy
-// metering (no client bit is disclosed without a PrivacyMeter charge —
-// paper §1.1, core/privacy_meter.h), and wire/journal format
-// exhaustiveness (every record type must encode, decode, and be fuzzed —
-// federated/wire.h, persist/journal.h). `bitpush_lint` enforces them as
-// named token/line-level checks over src/, tests/, bench/, and tools/,
-// with no compiler dependency, so the invariants fail a PR at lint time
-// instead of depending on reviewer memory.
+// metering (no client bit is disclosed without a PrivacyMeter charge, and
+// only its perturbed value leaves the client — paper §1.1,
+// core/privacy_meter.h), and wire/journal format exhaustiveness (every
+// record type must encode, decode, and be fuzzed — federated/wire.h,
+// persist/journal.h). `bitpush_lint` enforces them as named checks over
+// src/, tests/, bench/, and tools/, with no compiler dependency, so the
+// invariants fail a PR at lint time instead of depending on reviewer
+// memory. One run lexes the tree once and builds one cross-TU declaration
+// index (tools/analysis_core) that the two dataflow families walk.
 //
 // Checks (see docs/STATIC_ANALYSIS.md for the full catalogue):
 //
@@ -35,15 +37,41 @@
 //                       types (self-containment), and SIMD intrinsics
 //                       headers (<immintrin.h>, <arm_neon.h>, ...)
 //                       confined to src/kernels/.
+//   privacy-taint       (dataflow) every disclosed client bit must flow
+//                       through randomized-response perturbation before
+//                       reaching a wire / journal / obs sink. Sources are
+//                       client-value encodes and raw bit reads
+//                       (SelectValue, FixedPointCodec::Bit, codec
+//                       Encode/EncodeAll, BuildReportBatch); sanitizers
+//                       are the perturbation points (RandomizedResponse::
+//                       Apply/ApplyToWords, PerturbBatch, DrawFlip,
+//                       secure-agg masking); sinks are wire encoders,
+//                       journal record codecs and appends, and obs event
+//                       emission/export. A source->sink path with no
+//                       sanitizer between is a finding, with the call
+//                       chain printed. A function that both charges the
+//                       meter (TryChargeBit) and discloses must charge
+//                       first.
+//   determinism-flow    (dataflow) every Rng must descend from the seeded
+//                       fork roots (docs/PERSISTENCE.md,
+//                       docs/SHARDING.md): flags Rng constructions whose
+//                       seed expression references no seed/fork lineage,
+//                       random draws inside kernel code (src/kernels/,
+//                       except the sanctioned scalar source shared.cc),
+//                       and reuse of an RNG stream across a replay
+//                       boundary (Restart/recovery) without reseeding.
 //
-// Any finding can be suppressed with an annotated waiver comment on the
-// same or the preceding line (file-scoped for privacy-metering). The
-// syntax is `bitpush-lint: allow(<check>): <reason>` inside a // comment;
-// the reason string is mandatory.
+// The five token-level families report over all four roots; the two
+// dataflow families report for src/ only (the other roots are harnesses,
+// but their definitions still feed the call graph).
 //
-// The reason is mandatory; waivers are counted and printed as a budget so
-// reviewers can watch it. Malformed waivers are themselves findings
-// (check name "waiver-syntax").
+// Any finding can be suppressed with an annotated waiver comment
+// `bitpush-lint: allow(<check>): <reason>` inside a // comment. A waiver
+// covers its own line and the next; privacy-metering and privacy-taint
+// waivers are file-scoped because both are whole-TU properties. The reason
+// is mandatory; waivers are counted and printed as a budget so reviewers
+// can watch it. Malformed waivers are themselves findings (check name
+// "waiver-syntax").
 
 #ifndef BITPUSH_TOOLS_BITPUSH_LINT_LINT_H_
 #define BITPUSH_TOOLS_BITPUSH_LINT_LINT_H_
@@ -59,6 +87,8 @@ enum class Check {
   kWireExhaustiveness,
   kObsStability,
   kHeaderHygiene,
+  kPrivacyTaint,
+  kDeterminismFlow,
   // Malformed or unknown `bitpush-lint:` annotations. Always enabled; not
   // a check family of its own, it polices the waiver syntax itself.
   kWaiverSyntax,
@@ -97,6 +127,7 @@ struct Result {
   std::vector<Waiver> waivers;      // The waiver budget actually in use.
   std::vector<std::string> fixed_paths;
   int files_scanned = 0;
+  int functions_indexed = 0;
   bool io_error = false;
   std::string io_error_message;
 };
@@ -109,7 +140,8 @@ struct Result {
 Result RunLint(const std::string& root, const Options& options);
 
 // One "path:line: [check] message" line per finding, sorted by path then
-// line, followed by a one-line summary with the waiver budget.
+// line, followed by a one-line summary with the waiver budget and index
+// size.
 std::string FormatReport(const Result& result);
 
 // One line per waiver: "path:line: allow(check): reason".
