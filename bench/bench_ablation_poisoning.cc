@@ -71,7 +71,8 @@ int Main(int argc, char** argv) {
       Rng rng(static_cast<uint64_t>(seed) + 1);
       for (int64_t rep = 0; rep < reps; ++rep) {
         const RoundOutcome outcome =
-            server.RunRound(clients, cohort, config, nullptr, rng);
+            server.RunRound(clients, cohort, config, nullptr,
+                            rng.NextUint64(), rng);
         acc.Add(server.EstimateMean(outcome.histogram, 0.0) -
                 data.truth().mean);
       }

@@ -68,7 +68,8 @@ int main() {
       config.probabilities = bitpush::GeometricProbabilities(16, 0.5);
       config.central_randomness = central;
       const bitpush::RoundOutcome outcome =
-          server.RunRound(clients, cohort, config, nullptr, rng);
+          server.RunRound(clients, cohort, config, nullptr,
+                          rng.NextUint64(), rng);
       std::printf("(b) 5%% adversaries, %s randomness: estimate %.2f\n",
                   central ? "central" : "local  ",
                   server.EstimateMean(outcome.histogram, 0.0));

@@ -103,7 +103,9 @@ std::vector<CampaignTickResult> MeasurementCampaign::RunTick(
     // Every scheduled query gets its own forked stream, drawn whether the
     // query runs live or is restored from the journal — so after a
     // crash-recovery skip, the queries that follow still see the streams
-    // an uninterrupted run would have given them.
+    // an uninterrupted run would have given them. The query forks its
+    // server stages from it and draws the key of its clients' coins
+    // (federated/round.cc).
     Rng query_rng = rng.Fork();
 
     CampaignTickResult result;

@@ -1,9 +1,20 @@
 #include "federated/client.h"
 
+#include "rng/keyed.h"
 #include "stats/welford.h"
 #include "util/check.h"
 
 namespace bitpush {
+namespace {
+
+// Purpose keys separating a client's coins within one (query, round).
+enum ClientCoin : uint64_t {
+  kDropoutCoin = 1,
+  kSelectCoin = 2,
+  kFlipCoin = 3,
+};
+
+}  // namespace
 
 Client::Client(int64_t id, std::vector<double> values, ClientConfig config)
     : id_(id), values_(std::move(values)), config_(config) {
@@ -12,10 +23,16 @@ Client::Client(int64_t id, std::vector<double> values, ClientConfig config)
   BITPUSH_CHECK_LE(config_.dropout_probability, 1.0);
 }
 
-double Client::SelectValue(Rng& rng) const {
+double Client::SelectValue(uint64_t coin_key, int64_t round_id) const {
   switch (config_.value_policy) {
-    case ValuePolicy::kSampleOne:
-      return values_[rng.NextBelow(values_.size())];
+    case ValuePolicy::kSampleOne: {
+      if (values_.size() == 1) return values_.front();
+      // Multiply-high maps the 64-bit coin onto [0, size) (Lemire 2019);
+      // the bias is at most size / 2^64.
+      const uint64_t coin = KeyedHash(coin_key, round_id, id_, kSelectCoin);
+      return values_[static_cast<size_t>(
+          (static_cast<unsigned __int128>(coin) * values_.size()) >> 64)];
+    }
     case ValuePolicy::kLocalMean: {
       Welford acc;
       for (const double v : values_) acc.Add(v);
@@ -32,8 +49,13 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
                                                const FixedPointCodec& codec,
                                                bool local_randomness,
                                                PrivacyMeter* meter,
-                                               Rng& rng) const {
-  if (rng.NextBernoulli(config_.dropout_probability)) return std::nullopt;
+                                               uint64_t coin_key) const {
+  const int64_t round_id = request.round_id;
+  if (config_.dropout_probability > 0.0 &&
+      KeyedUniform(coin_key, round_id, id_, kDropoutCoin) <
+          config_.dropout_probability) {
+    return std::nullopt;
+  }
   if (meter != nullptr &&
       !meter->TryChargeBit(id_, request.value_id,
                            request.rr_epsilon > 0 ? request.rr_epsilon
@@ -41,7 +63,7 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
     return std::nullopt;
   }
 
-  const uint64_t codeword = codec.Encode(SelectValue(rng));
+  const uint64_t codeword = codec.Encode(SelectValue(coin_key, round_id));
   const int true_bit = FixedPointCodec::Bit(codeword, request.bit_index);
   int reported_index = request.bit_index;
   const int raw_bit =
@@ -52,7 +74,8 @@ std::optional<BitReport> Client::HandleRequest(const BitRequest& request,
   // Adversaries skip their own noise addition: they report exactly the bit
   // they want the server to see. Honest clients perturb.
   const int bit = config_.adversary == AdversaryMode::kHonest
-                      ? rr.Apply(raw_bit, rng)
+                      ? rr.Apply(raw_bit, KeyedUniform(coin_key, round_id,
+                                                       id_, kFlipCoin))
                       : raw_bit;
   return BitReport{id_, reported_index, bit};
 }

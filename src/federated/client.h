@@ -6,6 +6,12 @@
 // the server's bit requests — metering every disclosed private bit, and
 // dropping out of rounds with a configured probability (the intermittent
 // connectivity of Section 4.3).
+//
+// A client's coins are its own: the dropout roll, the value selection and
+// the randomized-response flip are keyed draws (rng/keyed.h) of (query
+// coin key, round id, client id, purpose). No coin depends on which other
+// clients were asked before this one, so a round's outcome does not depend
+// on collection order.
 
 #ifndef BITPUSH_FEDERATED_CLIENT_H_
 #define BITPUSH_FEDERATED_CLIENT_H_
@@ -19,7 +25,6 @@
 #include "federated/poisoning.h"
 #include "federated/report.h"
 #include "ldp/randomized_response.h"
-#include "rng/rng.h"
 
 namespace bitpush {
 
@@ -47,18 +52,21 @@ class Client {
   const std::vector<double>& values() const { return values_; }
   const ClientConfig& config() const { return config_; }
 
-  // The value this client would contribute under its policy.
-  double SelectValue(Rng& rng) const;
+  // The value this client contributes in round `round_id` of the query
+  // keyed `coin_key`, under its policy. Only a multi-value kSampleOne
+  // client draws a coin.
+  double SelectValue(uint64_t coin_key, int64_t round_id) const;
 
-  // Handles one bit request. Returns nullopt when the client drops out of
-  // the round or its privacy meter refuses the disclosure. `local_bit_index`
-  // lets a local-randomness protocol (or an adversary) override the
-  // server's choice; honest central-randomness clients pass the request's
-  // index through. `meter` may be null (no metering).
+  // Handles one bit request of the query keyed `coin_key`. Returns nullopt
+  // when the client drops out of the round or its privacy meter refuses
+  // the disclosure. `local_randomness` lets an adversary override the
+  // server's bit index; honest clients report under the request's index.
+  // `meter` may be null (no metering).
   std::optional<BitReport> HandleRequest(const BitRequest& request,
                                          const FixedPointCodec& codec,
                                          bool local_randomness,
-                                         PrivacyMeter* meter, Rng& rng) const;
+                                         PrivacyMeter* meter,
+                                         uint64_t coin_key) const;
 
  private:
   int64_t id_;

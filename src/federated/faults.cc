@@ -1,20 +1,12 @@
 #include "federated/faults.h"
 
 #include "federated/wire.h"
+#include "rng/keyed.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer: the same mixer the Rng uses for seeding, reused
-// here as a stateless hash so fault decisions need no stream position.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void CheckRate(double rate) {
   BITPUSH_CHECK_GE(rate, 0.0);
@@ -54,29 +46,12 @@ FaultPlan::FaultPlan(uint64_t seed, const FaultRates& rates)
                    1.0 + 1e-12);
 }
 
-uint64_t FaultPlan::Hash(int64_t round_id, int64_t client_id,
-                         uint64_t salt) const {
-  uint64_t h = Mix(seed_ ^ Mix(static_cast<uint64_t>(round_id)));
-  h = Mix(h ^ static_cast<uint64_t>(client_id));
-  return Mix(h ^ salt);
-}
-
-double FaultPlan::HashUniform(int64_t round_id, int64_t client_id,
-                              uint64_t salt) const {
-  return static_cast<double>(Hash(round_id, client_id, salt) >> 11) *
-         0x1.0p-53;
-}
-
-FaultType FaultPlan::Decide(int64_t round_id, int64_t client_id) const {
-  return DecideAttempt(round_id, client_id, /*attempt=*/0);
-}
-
 FaultType FaultPlan::DecideAttempt(int64_t round_id, int64_t client_id,
                                    int64_t attempt) const {
   BITPUSH_CHECK_GE(attempt, 0);
   if (!enabled_) return FaultType::kNone;
   const double u =
-      HashUniform(round_id, client_id, AttemptSalt(/*base_salt=*/0, attempt));
+      KeyedUniform(seed_, round_id, client_id, AttemptSalt(0, attempt));
   double edge = rates_.mid_round_dropout;
   if (u < edge) return FaultType::kMidRoundDropout;
   edge += rates_.straggler;
@@ -92,30 +67,19 @@ FaultType FaultPlan::DecideAttempt(int64_t round_id, int64_t client_id,
   return FaultType::kNone;
 }
 
-double FaultPlan::StragglerDelayMinutes(int64_t round_id,
-                                        int64_t client_id) const {
-  return 1.0 + 59.0 * HashUniform(round_id, client_id, /*salt=*/1);
-}
-
-void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
-                              std::vector<uint8_t>* buffer) const {
-  CorruptBuffer(round_id, client_id, /*attempt=*/0, buffer);
-}
-
 void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
                               int64_t attempt,
                               std::vector<uint8_t>* buffer) const {
   BITPUSH_CHECK(buffer != nullptr);
   BITPUSH_CHECK_GE(attempt, 0);
   if (buffer->empty()) return;
-  const int flips = 1 + static_cast<int>(Hash(round_id, client_id,
-                                              AttemptSalt(/*base_salt=*/2,
-                                                          attempt)) %
+  const int flips = 1 + static_cast<int>(KeyedHash(seed_, round_id, client_id,
+                                                   AttemptSalt(2, attempt)) %
                                          3);
   for (int k = 0; k < flips; ++k) {
-    const uint64_t h = Hash(
-        round_id, client_id,
-        AttemptSalt(/*base_salt=*/3 + static_cast<uint64_t>(k), attempt));
+    const uint64_t h =
+        KeyedHash(seed_, round_id, client_id,
+                  AttemptSalt(3 + static_cast<uint64_t>(k), attempt));
     const size_t pos = static_cast<size_t>(h % buffer->size());
     // A non-zero XOR mask guarantees the byte actually changes.
     const uint8_t mask = static_cast<uint8_t>(1 + (h >> 32) % 255);
@@ -124,16 +88,11 @@ void FaultPlan::CorruptBuffer(int64_t round_id, int64_t client_id,
 }
 
 size_t FaultPlan::TruncatedSize(int64_t round_id, int64_t client_id,
-                                size_t full_size) const {
-  return TruncatedSize(round_id, client_id, /*attempt=*/0, full_size);
-}
-
-size_t FaultPlan::TruncatedSize(int64_t round_id, int64_t client_id,
                                 int64_t attempt, size_t full_size) const {
   BITPUSH_CHECK_GE(full_size, 1u);
   BITPUSH_CHECK_GE(attempt, 0);
   return static_cast<size_t>(
-      Hash(round_id, client_id, AttemptSalt(/*base_salt=*/4, attempt)) %
+      KeyedHash(seed_, round_id, client_id, AttemptSalt(4, attempt)) %
       full_size);
 }
 
@@ -204,16 +163,6 @@ bool DecodeFaultStats(const std::vector<uint8_t>& buffer, size_t* offset,
   *out = stats;
   *offset = cursor;
   return true;
-}
-
-std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
-                                              int64_t round_id,
-                                              int64_t client_id,
-                                              FaultType fault,
-                                              const BitReport& report,
-                                              FaultStats* stats) {
-  return DeliverFaultedReport(plan, round_id, client_id, /*attempt=*/0, fault,
-                              report, stats);
 }
 
 std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,

@@ -3,11 +3,11 @@
 // Section 4.3's deployment reality — devices drop out mid-round, reports
 // straggle past the collection window, radios corrupt or truncate frames,
 // and devices crash between the two rounds of the adaptive protocol — is
-// modelled here as a seeded FaultPlan. Every decision is a pure hash of
-// (seed, round, client), so injections are independent of iteration order
-// and a plan reproduces byte-identically: the fault-matrix tests in
-// tests/faults_test.cc pin exactly how the server degrades under each
-// scenario.
+// modelled here as a seeded FaultPlan. Every decision is a keyed hash
+// (rng/keyed.h) of (seed, round, client, attempt), so injections are
+// independent of iteration order and a plan reproduces byte-identically:
+// the fault-matrix tests in tests/faults_test.cc pin exactly how the
+// server degrades under each scenario.
 //
 // The server's reactions are policy, not accident (FaultPolicy): stragglers
 // past the report deadline are rejected, lost reports are backfilled from
@@ -67,47 +67,29 @@ class FaultPlan {
   bool enabled() const { return enabled_; }
   const FaultRates& rates() const { return rates_; }
 
-  // The fault striking (round_id, client_id), or kNone.
-  // kRoundBoundaryCrash is only ever returned for round_id == 1 (it is the
-  // crash *between* rounds 1 and 2); in other rounds its probability band
-  // maps to kNone so the remaining rates are unaffected.
-  FaultType Decide(int64_t round_id, int64_t client_id) const;
-
   // The fault striking retry attempt `attempt` (0-based) of
-  // (round_id, client_id). Attempt 0 is byte-identical to Decide — the
-  // resilience layer (federated/resilience.h) re-rolls the fault spectrum
-  // on every retry by folding the attempt number into the hash salts, so
-  // enabling retries never perturbs what attempt 0 injects.
+  // (round_id, client_id), or kNone. kRoundBoundaryCrash is only ever
+  // returned for round_id == 1 (it is the crash *between* rounds 1 and 2);
+  // in other rounds its probability band maps to kNone so the remaining
+  // rates are unaffected. The resilience layer (federated/resilience.h)
+  // re-rolls the fault spectrum on every retry by folding the attempt
+  // number into the hash salts, so enabling retries never perturbs what
+  // attempt 0 injects.
   FaultType DecideAttempt(int64_t round_id, int64_t client_id,
                           int64_t attempt) const;
 
-  // Deterministic lateness of a straggler's report, in (0, 60] minutes past
-  // the deadline.
-  double StragglerDelayMinutes(int64_t round_id, int64_t client_id) const;
-
   // Flips 1-3 bytes of `buffer` (each XORed with a non-zero mask), at
-  // positions derived from (seed, round, client). At least one byte is
-  // guaranteed to change on a non-empty buffer. The attempt-aware overload
-  // corrupts retransmissions independently; attempt 0 matches the two-arg
-  // form.
-  void CorruptBuffer(int64_t round_id, int64_t client_id,
-                     std::vector<uint8_t>* buffer) const;
+  // positions derived from (seed, round, client, attempt). At least one
+  // byte is guaranteed to change on a non-empty buffer.
   void CorruptBuffer(int64_t round_id, int64_t client_id, int64_t attempt,
                      std::vector<uint8_t>* buffer) const;
 
   // The length a truncated frame arrives with: a deterministic value in
-  // [0, full_size - 1]. `full_size` must be >= 1. Attempt 0 matches the
-  // two-arg form.
-  size_t TruncatedSize(int64_t round_id, int64_t client_id,
-                       size_t full_size) const;
+  // [0, full_size - 1]. `full_size` must be >= 1.
   size_t TruncatedSize(int64_t round_id, int64_t client_id, int64_t attempt,
                        size_t full_size) const;
 
  private:
-  uint64_t Hash(int64_t round_id, int64_t client_id, uint64_t salt) const;
-  double HashUniform(int64_t round_id, int64_t client_id,
-                     uint64_t salt) const;
-
   uint64_t seed_ = 0;
   FaultRates rates_;
   bool enabled_ = false;
@@ -166,21 +148,12 @@ void EncodeFaultStats(const FaultStats& stats, std::vector<uint8_t>* out);
 bool DecodeFaultStats(const std::vector<uint8_t>& buffer, size_t* offset,
                       FaultStats* out);
 
-// Simulates the wire leg for a faulted report: encodes it, applies the
-// corruption or truncation the plan dictates, and runs the server's
-// bounds-checked decode. Returns the report the decoder accepted (possibly
-// altered by the corruption) or nullopt when the frame was rejected,
-// updating the injection and reaction counters in `stats`. `fault` must be
-// kCorruptMessage or kTruncateMessage.
-std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
-                                              int64_t round_id,
-                                              int64_t client_id,
-                                              FaultType fault,
-                                              const BitReport& report,
-                                              FaultStats* stats);
-
-// Attempt-aware overload for the resilience layer's retransmissions:
-// attempt 0 is byte-identical to the form above.
+// Simulates the wire leg for a faulted report (retransmission `attempt`
+// of it): encodes it, applies the corruption or truncation the plan
+// dictates, and runs the server's bounds-checked decode. Returns the report
+// the decoder accepted (possibly altered by the corruption) or nullopt when
+// the frame was rejected, updating the injection and reaction counters in
+// `stats`. `fault` must be kCorruptMessage or kTruncateMessage.
 std::optional<BitReport> DeliverFaultedReport(const FaultPlan& plan,
                                               int64_t round_id,
                                               int64_t client_id,

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rng/keyed.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -222,8 +223,7 @@ std::vector<double> FleetSimulator::CollectWindow(int64_t max_cohort) {
   if (config_.model_latency) {
     // A fresh per-window generator (never the main stream) keeps clean-run
     // determinism: enabling latency modelling does not shift readings.
-    Rng latency_rng(seed_ ^
-                    (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(window)));
+    Rng latency_rng(KeyedHash(seed_, static_cast<uint64_t>(window)));
     last_window_minutes_ =
         SampleCollectionMinutes(config_.latency,
                                 static_cast<int64_t>(readings.size()),

@@ -5,32 +5,16 @@
 
 #include "federated/persist_hooks.h"
 #include "obs/events.h"
+#include "rng/keyed.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
 
-// SplitMix64 finalizer, the same stateless mixer the fault plan uses: the
-// backoff schedule must not consume the protocol RNG stream.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Domain-separation constant so backoff hashes can never collide with the
 // fault plan's salts even under an identical seed ("RTRY").
 constexpr uint64_t kBackoffDomain = 0x52545259ULL;
-
-double HashUniform(uint64_t seed, int64_t round_id, int64_t client_id,
-                   uint64_t salt) {
-  uint64_t h = Mix(seed ^ Mix(static_cast<uint64_t>(round_id)));
-  h = Mix(h ^ static_cast<uint64_t>(client_id));
-  h = Mix(h ^ (kBackoffDomain + salt));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 }  // namespace
 
@@ -181,14 +165,15 @@ double RetrySchedule::BackoffMinutes(int64_t round_id, int64_t client_id,
   BITPUSH_CHECK(policy_.enabled());
   BITPUSH_CHECK_GE(attempt, 1);
   // Decorrelated jitter: b_k drawn from [base, 3 * b_{k-1}], capped. The
-  // draw is a pure hash of (seed, round, client, k), so the schedule for
-  // attempt k is fixed the moment the plan is configured.
+  // draw is a keyed hash of (seed, round, client, k) that consumes no
+  // protocol RNG stream, so the schedule for attempt k is fixed the moment
+  // the plan is configured.
   const double base = policy_.base_backoff_minutes;
   const double cap = policy_.cap_backoff_minutes;
   double backoff = base;
   for (int64_t k = 1; k <= attempt; ++k) {
-    const double u =
-        HashUniform(seed_, round_id, client_id, static_cast<uint64_t>(k));
+    const double u = KeyedUniform(seed_, round_id, client_id,
+                                  kBackoffDomain + static_cast<uint64_t>(k));
     backoff = std::min(cap, base + u * (3.0 * backoff - base));
   }
   return backoff;

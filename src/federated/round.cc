@@ -23,14 +23,17 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   BITPUSH_CHECK_GT(config.adaptive.delta, 0.0);
   BITPUSH_CHECK_LT(config.adaptive.delta, 1.0);
 
-  // Each stage draws from its own forked stream, derived unconditionally in
-  // a fixed order. This makes the query crash-resumable: when recovery
-  // restores a completed round instead of re-running it (skipping that
-  // round's draws), the later stages still see exactly the streams an
-  // uninterrupted run would have used.
+  // Each server stage (cohort selection; each round's bit assignment and
+  // secure-aggregation masks) draws from its own forked stream, and the
+  // key of the clients' own coins (Client::HandleRequest) is drawn last,
+  // all unconditionally in a fixed order. This makes the query
+  // crash-resumable: when recovery restores a completed round instead of
+  // re-running it (skipping that round's draws), the later stages still
+  // see exactly the streams and coins an uninterrupted run would have used.
   Rng cohort_rng = rng.Fork();
   Rng round1_rng = rng.Fork();
   Rng round2_rng = rng.Fork();
+  const uint64_t coin_key = rng.NextUint64();
 
   FederatedQueryResult result;
   bool below_minimum = false;
@@ -88,7 +91,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
           collect.set_ids(-1, -1, round_id);
           *outcome =
               server.RunRound(clients, round_cohort, round_config, meter,
-                              round_rng);
+                              coin_key, round_rng);
           collect.set_sim_minutes(outcome->retry.elapsed_minutes);
           collect.AddNumeric("responded",
                              static_cast<double>(outcome->responded));

@@ -22,6 +22,7 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
                                          const std::vector<int64_t>& cohort,
                                          const RoundConfig& config,
                                          PrivacyMeter* meter,
+                                         uint64_t coin_key,
                                          Rng& rng) const {
   const int bits = codec_.bits();
   BITPUSH_CHECK_EQ(static_cast<int>(config.probabilities.size()), bits);
@@ -177,7 +178,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
       }
       if (!report.has_value()) {
         report = client.HandleRequest(request, codec_,
-                                      !config.central_randomness, meter, rng);
+                                      !config.central_randomness, meter,
+                                      coin_key);
         // Organic loss (client-side dropout or meter denial) is not an
         // injected fault and is not retried: the device made its decision.
         if (!report.has_value()) return SlotResult::kFailed;
@@ -417,9 +419,8 @@ RoundOutcome AggregationServer::RunRound(const std::vector<Client>& clients,
     }
     if (group.empty()) continue;
     const int64_t count = static_cast<int64_t>(group.size());
-    // The aggregator constructor consumes the same rng draws as before;
-    // masking/summing runs through the kernel word-add (exact mod-2^64
-    // arithmetic either way).
+    // Masks are server-side draws from the round stream; masking/summing
+    // runs through the kernel word-add (exact mod-2^64 arithmetic).
     SecureAggregator aggregator(count, rng);
     std::vector<uint64_t> masked(group.size());
     aggregator.MaskBatch(group.data(), count, /*first_slot=*/0,

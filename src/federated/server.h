@@ -113,10 +113,14 @@ class AggregationServer {
   const FixedPointCodec& codec() const { return codec_; }
 
   // Runs one round over clients[cohort[*]]. `meter` may be null.
+  // `coin_key` keys every client's own coins (Client::HandleRequest);
+  // `rng` drives only the server's draws — bit assignment and secure
+  // aggregation masks — so the outcome does not depend on the order the
+  // clients answer in.
   RoundOutcome RunRound(const std::vector<Client>& clients,
                         const std::vector<int64_t>& cohort,
                         const RoundConfig& config, PrivacyMeter* meter,
-                        Rng& rng) const;
+                        uint64_t coin_key, Rng& rng) const;
 
   // Unbiases, recombines, and decodes a pooled histogram into the value
   // domain. `epsilon` must match what the reports were perturbed with.

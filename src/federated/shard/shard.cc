@@ -15,19 +15,11 @@
 #include "batch/batch.h"
 #include "core/bit_pushing.h"
 #include "federated/server.h"
+#include "rng/keyed.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer (the faults.cc idiom): shard seeds are pure hashes
-// of the root seed, so adding a shard never perturbs a sibling's stream.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void AccumulateRoundTallies(const RoundOutcome& round,
                             ShardQueryFrame* frame) {
@@ -45,7 +37,9 @@ void AccumulateRoundTallies(const RoundOutcome& round,
 
 uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index) {
   BITPUSH_CHECK_GE(shard_index, 0);
-  return Mix(root_seed ^ Mix(static_cast<uint64_t>(shard_index) + 1));
+  // A keyed hash of the root seed, so adding a shard never perturbs a
+  // sibling's stream.
+  return KeyedHash(root_seed, static_cast<uint64_t>(shard_index) + 1);
 }
 
 std::vector<std::vector<Client>> PartitionClients(

@@ -41,8 +41,8 @@
 namespace bitpush {
 
 // The seed of shard `shard_index`'s campaign RNG and resilience salt:
-// a SplitMix64-style derivation so sibling shards get decorrelated
-// streams from one root seed.
+// a keyed hash (rng/keyed.h) of (root seed, shard index) so sibling
+// shards get decorrelated streams from one root seed.
 uint64_t ShardSeed(uint64_t root_seed, int64_t shard_index);
 
 // Deterministic round-robin partition: client i of `population` goes to

@@ -3,19 +3,11 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "rng/keyed.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
-
-// SplitMix64 finalizer — the same mixing idiom as federated/faults.cc, so
-// shard fault decisions share the per-decision-pure-hash contract.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void CheckRate(double rate, const char* name) {
   BITPUSH_CHECK(rate >= 0.0 && rate <= 1.0)
@@ -57,24 +49,10 @@ void ShardFaultPlan::SetPermanentLoss(int64_t shard, int64_t from_tick) {
   lost_from_tick_ = from_tick;
 }
 
-uint64_t ShardFaultPlan::Hash(int64_t shard, int64_t tick, int64_t attempt,
-                              uint64_t salt) const {
-  uint64_t h = Mix(seed_ ^ Mix(static_cast<uint64_t>(tick)));
-  h = Mix(h ^ static_cast<uint64_t>(shard));
-  h = Mix(h ^ static_cast<uint64_t>(attempt) ^ salt);
-  return h;
-}
-
-double ShardFaultPlan::HashUniform(int64_t shard, int64_t tick,
-                                   int64_t attempt, uint64_t salt) const {
-  return static_cast<double>(Hash(shard, tick, attempt, salt) >> 11) *
-         0x1.0p-53;
-}
-
 ShardFaultType ShardFaultPlan::Decide(int64_t shard, int64_t tick,
                                       int64_t attempt) const {
   if (!enabled_) return ShardFaultType::kNone;
-  const double u = HashUniform(shard, tick, attempt, /*salt=*/0x51);
+  const double u = KeyedUniform(seed_, tick, shard, attempt ^ 0x51);
   double edge = rates_.crash_at_record;
   if (u < edge) return ShardFaultType::kCrashAtRecord;
   edge += rates_.stall;
@@ -90,14 +68,14 @@ int64_t ShardFaultPlan::CrashRecordIndex(int64_t shard, int64_t tick,
                                          int64_t attempt,
                                          int64_t journal_records) const {
   BITPUSH_CHECK_GE(journal_records, 0);
-  const uint64_t h = Hash(shard, tick, attempt, /*salt=*/0x52);
+  const uint64_t h = KeyedHash(seed_, tick, shard, attempt ^ 0x52);
   return static_cast<int64_t>(h %
                               static_cast<uint64_t>(journal_records + 1));
 }
 
 size_t ShardFaultPlan::TornTailBytes(int64_t shard, int64_t tick,
                                      int64_t attempt) const {
-  const uint64_t h = Hash(shard, tick, attempt, /*salt=*/0x53);
+  const uint64_t h = KeyedHash(seed_, tick, shard, attempt ^ 0x53);
   return static_cast<size_t>(1 + h % 3);
 }
 

@@ -15,8 +15,8 @@
 //   kStaleSnapshot  — every journal record after the last snapshot is
 //                     lost; recovery restarts from the snapshot alone.
 //
-// Decisions are pure hashes of (seed, shard, tick, attempt) — the same
-// SplitMix64 idiom as FaultPlan — so they consume no RNG stream, are
+// Decisions are keyed hashes (rng/keyed.h) of (seed, tick, shard,
+// attempt), like FaultPlan's — so they consume no RNG stream, are
 // order-independent, and replay identically during crash recovery.
 // Permanent loss (the degraded-merge path) is injected explicitly rather
 // than sampled: tests name the shard and the tick it disappears.
@@ -84,11 +84,6 @@ class ShardFaultPlan {
   size_t TornTailBytes(int64_t shard, int64_t tick, int64_t attempt) const;
 
  private:
-  uint64_t Hash(int64_t shard, int64_t tick, int64_t attempt,
-                uint64_t salt) const;
-  double HashUniform(int64_t shard, int64_t tick, int64_t attempt,
-                     uint64_t salt) const;
-
   uint64_t seed_ = 0;
   ShardFaultRates rates_;
   bool enabled_ = false;

@@ -7,6 +7,12 @@
 
 namespace bitpush {
 
+std::string FormatVersionError(const std::string& what, uint8_t found) {
+  return what + " has format version " + std::to_string(found) +
+         "; this build reads version " + std::to_string(kWireFormatVersion) +
+         " only";
+}
+
 void EncodeBitReport(const BitReport& report, std::vector<uint8_t>* out) {
   BITPUSH_CHECK(out != nullptr);
   BITPUSH_CHECK(report.bit == 0 || report.bit == 1);

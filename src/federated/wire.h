@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "federated/report.h"
@@ -21,8 +22,13 @@ namespace bitpush {
 // journal/snapshot records of src/persist/ and the shard tick frames of
 // federated/shard/merge.h. Decoders reject any other value with a clean
 // error rather than misparsing a frame laid out by a future (or corrupted)
-// writer.
-inline constexpr uint8_t kWireFormatVersion = 1;
+// writer. Version 2: client coins are keyed draws (rng/keyed.h), so a
+// version-1 journal's mid-flight query would not re-execute identically.
+inline constexpr uint8_t kWireFormatVersion = 2;
+
+// The fail-closed error for a `what` (e.g. "snapshot") whose version byte
+// is `found`: names the found and the expected version.
+std::string FormatVersionError(const std::string& what, uint8_t found);
 
 // Serialized size (bytes) of one unframed report.
 inline constexpr size_t kBitReportWireSize = 8 + 1 + 1;

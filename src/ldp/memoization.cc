@@ -1,18 +1,14 @@
 #include "ldp/memoization.h"
 
+#include "rng/keyed.h"
 #include "util/check.h"
 
 namespace bitpush {
 namespace {
 
-// Mixes the identifying tuple into a single 64-bit seed (SplitMix-style
-// avalanche via Rng's seeding).
-uint64_t MixSeed(uint64_t secret, int64_t value_id, int bit_index) {
-  uint64_t h = secret;
-  h ^= static_cast<uint64_t>(value_id) * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<uint64_t>(bit_index) + 1) * 0xbf58476d1ce4e5b9ULL;
-  return h;
-}
+// Purpose key of the permanent coin ("PERM"), keeping it apart from any
+// other coin keyed by the same client secret.
+constexpr uint64_t kPermanentCoin = 0x5045524dULL;
 
 }  // namespace
 
@@ -29,11 +25,13 @@ MemoizedResponder::MemoizedResponder(double permanent_epsilon,
 int MemoizedResponder::PermanentBit(int64_t value_id, int bit_index,
                                     int true_bit) const {
   BITPUSH_CHECK(true_bit == 0 || true_bit == 1);
-  // The permanent draw is a pure function of (secret, value, bit index):
+  // The permanent draw is a keyed coin of (secret, value, bit index):
   // re-deriving it in any round yields the same noisy bit, so nothing new
   // leaks on repetition.
-  Rng derivation(MixSeed(client_secret_, value_id, bit_index));
-  return permanent_.Apply(true_bit, derivation);
+  return permanent_.Apply(true_bit,
+                          KeyedUniform(client_secret_, value_id,
+                                       static_cast<uint64_t>(bit_index),
+                                       kPermanentCoin));
 }
 
 int MemoizedResponder::Report(int64_t value_id, int bit_index, int true_bit,

@@ -34,6 +34,12 @@ int RandomizedResponse::Apply(int bit, Rng& rng) const {
   return rng.NextBernoulli(p_) ? bit : 1 - bit;
 }
 
+int RandomizedResponse::Apply(int bit, double uniform) const {
+  BITPUSH_CHECK(bit == 0 || bit == 1);
+  if (!enabled_) return bit;
+  return uniform < p_ ? bit : 1 - bit;
+}
+
 void RandomizedResponse::ApplyToWords(uint64_t* words, const uint64_t* gate,
                                       int64_t n_bits, Rng& rng) const {
   BITPUSH_CHECK(words != nullptr);

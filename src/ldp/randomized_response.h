@@ -29,6 +29,10 @@ class RandomizedResponse {
   // Perturbs one bit (bit must be 0 or 1).
   int Apply(int bit, Rng& rng) const;
 
+  // Perturbs one bit with a caller-supplied coin `uniform` in [0, 1) — a
+  // keyed draw (rng/keyed.h) — keeping the bit iff uniform < p.
+  int Apply(int bit, double uniform) const;
+
   // Draws one keep/flip decision, consuming exactly the randomness Apply
   // consumes for one report (none when disabled). Returns true when the
   // report should be flipped. Lets columnar callers reproduce the

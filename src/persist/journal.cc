@@ -183,7 +183,7 @@ bool ParseJournal(const std::vector<uint8_t>& data,
     BITPUSH_CHECK(bytes::GetUint64(data, &cursor, &seq));
     BITPUSH_CHECK(bytes::GetUint32(data, &cursor, &length));
     if (version != kWireFormatVersion) {
-      *error = "journal record with unknown format version";
+      *error = FormatVersionError("journal record", version);
       return false;
     }
     if (!ValidRecordType(type)) {

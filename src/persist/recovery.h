@@ -18,16 +18,19 @@
 //   3. The driver re-calls RunTick for every tick from 0. Finished queries
 //      are served from the recovered state without touching clients or the
 //      meter (a completed round-1 probe is never re-probed). The one query
-//      that was mid-flight re-executes with the same forked RNG stream
-//      while the recorder verifies each emission against the replay prefix
-//      (crashing loudly on divergence) and serves journaled charge
-//      outcomes back to the meter; once the prefix is exhausted the run
-//      goes live and new records append where the crash cut off.
+//      that was mid-flight re-executes with the same forked server streams
+//      and the same client coin key — each client's coins are keyed draws
+//      of (coin key, round, client, purpose), independent of collection
+//      order — while the recorder verifies each emission against the
+//      replay prefix (crashing loudly on divergence) and serves journaled
+//      charge outcomes back to the meter; once the prefix is exhausted the
+//      run goes live and new records append where the crash cut off.
 //
 // The caller must re-create the runner with the same queries, meter
 // policy, seed, populations, and codecs it used originally — recovery
 // fails closed on the mismatches it can detect (seed, meter policy,
-// journal/snapshot corruption) and relies on determinism for the rest.
+// journal/snapshot corruption, a journal or snapshot of another format
+// version) and relies on determinism for the rest.
 
 #ifndef BITPUSH_PERSIST_RECOVERY_H_
 #define BITPUSH_PERSIST_RECOVERY_H_

@@ -263,6 +263,11 @@ bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
     *error = IoError("read snapshot", path);
     return false;
   }
+  if (data.size() > 4 && std::memcmp(data.data(), kSnapshotMagic, 4) == 0 &&
+      data[4] != kWireFormatVersion) {
+    *error = FormatVersionError("snapshot", data[4]);
+    return false;
+  }
   if (!DecodeCoordinatorSnapshot(data, out)) {
     *error =
         "snapshot failed validation (bad magic, version, CRC, or body, "

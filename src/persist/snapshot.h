@@ -91,7 +91,8 @@ bool SyncParentDir(const std::string& path, std::string* error);
 // Loads and decodes `path`. A missing file is success with `*found` set to
 // false (fresh state directory). Corruption is an error — a coordinator
 // must not silently start from scratch when its ledger exists but is
-// unreadable.
+// unreadable — and so is another format version, whose error names the
+// found and the expected version (FormatVersionError).
 bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,
                       bool* found, std::string* error);
 

@@ -20,7 +20,7 @@ TEST(ClientTest, SingleValueSelection) {
   const Client client(1, {42.0}, ClientConfig{});
   Rng rng(1);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(client.SelectValue(rng), 42.0);
+    EXPECT_DOUBLE_EQ(client.SelectValue(rng.NextUint64(), 1), 42.0);
   }
 }
 
@@ -30,7 +30,9 @@ TEST(ClientTest, SampleOnePolicyCoversAllValues) {
   const Client client(1, {1.0, 2.0, 3.0}, config);
   Rng rng(2);
   Welford acc;
-  for (int i = 0; i < 30000; ++i) acc.Add(client.SelectValue(rng));
+  for (int i = 0; i < 30000; ++i) {
+    acc.Add(client.SelectValue(rng.NextUint64(), 1));
+  }
   EXPECT_NEAR(acc.mean(), 2.0, 0.05);
   EXPECT_DOUBLE_EQ(acc.min(), 1.0);
   EXPECT_DOUBLE_EQ(acc.max(), 3.0);
@@ -41,7 +43,7 @@ TEST(ClientTest, LocalMeanPolicy) {
   config.value_policy = ValuePolicy::kLocalMean;
   const Client client(1, {1.0, 2.0, 6.0}, config);
   Rng rng(3);
-  EXPECT_DOUBLE_EQ(client.SelectValue(rng), 3.0);
+  EXPECT_DOUBLE_EQ(client.SelectValue(rng.NextUint64(), 1), 3.0);
 }
 
 TEST(ClientTest, FirstValuePolicy) {
@@ -49,7 +51,7 @@ TEST(ClientTest, FirstValuePolicy) {
   config.value_policy = ValuePolicy::kFirstValue;
   const Client client(1, {9.0, 1.0}, config);
   Rng rng(4);
-  EXPECT_DOUBLE_EQ(client.SelectValue(rng), 9.0);
+  EXPECT_DOUBLE_EQ(client.SelectValue(rng.NextUint64(), 1), 9.0);
 }
 
 TEST(ClientTest, HonestReportMatchesTrueBit) {
@@ -57,8 +59,9 @@ TEST(ClientTest, HonestReportMatchesTrueBit) {
   Rng rng(5);
   for (int j = 0; j < 8; ++j) {
     const BitRequest request{1, 0, j, 0.0};
-    const std::optional<BitReport> report = client.HandleRequest(
-        request, Codec8(), /*local_randomness=*/false, nullptr, rng);
+    const std::optional<BitReport> report =
+        client.HandleRequest(request, Codec8(), /*local_randomness=*/false,
+                             nullptr, rng.NextUint64());
     ASSERT_TRUE(report.has_value());
     EXPECT_EQ(report->client_id, 5);
     EXPECT_EQ(report->bit_index, j);
@@ -75,7 +78,8 @@ TEST(ClientTest, DropoutRateIsRespected) {
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
     const BitRequest request{1, 0, 0, 0.0};
-    if (client.HandleRequest(request, Codec8(), false, nullptr, rng)) {
+    if (client.HandleRequest(request, Codec8(), false, nullptr,
+                             rng.NextUint64())) {
       ++responded;
     }
   }
@@ -88,10 +92,10 @@ TEST(ClientTest, MeterDenialSuppressesReport) {
   Rng rng(7);
   const BitRequest request{1, 77, 0, 0.0};
   EXPECT_TRUE(
-      client.HandleRequest(request, Codec8(), false, &meter, rng));
+      client.HandleRequest(request, Codec8(), false, &meter, rng.NextUint64()));
   // Second request about the same value id is refused by the meter.
   EXPECT_FALSE(
-      client.HandleRequest(request, Codec8(), false, &meter, rng));
+      client.HandleRequest(request, Codec8(), false, &meter, rng.NextUint64()));
   EXPECT_EQ(meter.total_bits(), 1);
   EXPECT_EQ(meter.denied_charges(), 1);
 }
@@ -103,7 +107,7 @@ TEST(ClientTest, MeterChargesEpsilon) {
   const Client client(3, {10.0}, ClientConfig{});
   Rng rng(8);
   const BitRequest request{1, 0, 0, 1.5};
-  client.HandleRequest(request, Codec8(), false, &meter, rng);
+  client.HandleRequest(request, Codec8(), false, &meter, rng.NextUint64());
   EXPECT_DOUBLE_EQ(meter.ClientEpsilon(3), 1.5);
 }
 
@@ -117,7 +121,8 @@ TEST(ClientTest, RandomizedResponseIsAppliedAtRequestedEpsilon) {
   for (int i = 0; i < trials; ++i) {
     const BitRequest request{1, 0, 0, epsilon};
     const std::optional<BitReport> report =
-        client.HandleRequest(request, Codec8(), false, nullptr, rng);
+        client.HandleRequest(request, Codec8(), false, nullptr,
+                             rng.NextUint64());
     ASSERT_TRUE(report.has_value());
     ones += report->bit;
   }
@@ -132,7 +137,8 @@ TEST(ClientTest, AdversaryOverridesBit) {
   Rng rng(10);
   const BitRequest request{1, 0, 3, 0.0};
   const std::optional<BitReport> report =
-      client.HandleRequest(request, Codec8(), false, nullptr, rng);
+      client.HandleRequest(request, Codec8(), false, nullptr,
+                           rng.NextUint64());
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->bit, 1);
 }
@@ -143,15 +149,50 @@ TEST(ClientTest, TopBitAdversaryHijacksIndexOnlyUnderLocalRandomness) {
   const Client client(1, {0.0}, config);
   Rng rng(11);
   const BitRequest request{1, 0, 2, 0.0};
-  const std::optional<BitReport> local = client.HandleRequest(
-      request, Codec8(), /*local_randomness=*/true, nullptr, rng);
+  const std::optional<BitReport> local =
+      client.HandleRequest(request, Codec8(), /*local_randomness=*/true,
+                           nullptr, rng.NextUint64());
   ASSERT_TRUE(local.has_value());
   EXPECT_EQ(local->bit_index, 7);  // claims the top bit
   EXPECT_EQ(local->bit, 1);
-  const std::optional<BitReport> central = client.HandleRequest(
-      request, Codec8(), /*local_randomness=*/false, nullptr, rng);
+  const std::optional<BitReport> central =
+      client.HandleRequest(request, Codec8(), /*local_randomness=*/false,
+                           nullptr, rng.NextUint64());
   ASSERT_TRUE(central.has_value());
   EXPECT_EQ(central->bit_index, 2);  // cannot choose under central
+}
+
+TEST(ClientTest, CoinsAreKeyedNotSequential) {
+  // A client's dropout, select and flip coins are a pure function of
+  // (coin key, round, client, purpose): asking again with the same key
+  // repeats the answer, whatever was drawn in between.
+  ClientConfig config;
+  config.dropout_probability = 0.5;
+  config.value_policy = ValuePolicy::kSampleOne;
+  const Client client(4, {0.0, 85.0, 170.0, 255.0}, config);
+  Rng rng(12);
+  int differs = 0;
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t key = rng.NextUint64();
+    const BitRequest request{1 + i % 2, 0, i % 8, 1.0};
+    const std::optional<BitReport> first =
+        client.HandleRequest(request, Codec8(), false, nullptr, key);
+    EXPECT_EQ(client.SelectValue(key, request.round_id),
+              client.SelectValue(key, request.round_id));
+    const std::optional<BitReport> again =
+        client.HandleRequest(request, Codec8(), false, nullptr, key);
+    ASSERT_EQ(first.has_value(), again.has_value());
+    if (first.has_value()) {
+      EXPECT_EQ(first->bit, again->bit);
+    }
+    const std::optional<BitReport> other_key = client.HandleRequest(
+        request, Codec8(), false, nullptr, key ^ 1);
+    differs += first.has_value() != other_key.has_value() ||
+                       (first.has_value() && first->bit != other_key->bit)
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GT(differs, 0);
 }
 
 TEST(ClientTest, MakePopulationBuildsSingleValueClients) {

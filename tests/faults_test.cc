@@ -91,8 +91,8 @@ TEST(FaultPlanTest, DisabledPlanNeverInjects) {
   const FaultPlan plan;
   EXPECT_FALSE(plan.enabled());
   for (int64_t client = 0; client < 1000; ++client) {
-    EXPECT_EQ(plan.Decide(1, client), FaultType::kNone);
-    EXPECT_EQ(plan.Decide(2, client), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(1, client, 0), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(2, client, 0), FaultType::kNone);
   }
 }
 
@@ -107,8 +107,12 @@ TEST(FaultPlanTest, DecisionsAreDeterministicAndSeedSensitive) {
   int differs = 0;
   for (int64_t round = 1; round <= 2; ++round) {
     for (int64_t client = 0; client < 2000; ++client) {
-      EXPECT_EQ(a.Decide(round, client), b.Decide(round, client));
-      differs += a.Decide(round, client) != c.Decide(round, client) ? 1 : 0;
+      EXPECT_EQ(a.DecideAttempt(round, client, 0),
+                b.DecideAttempt(round, client, 0));
+      differs += a.DecideAttempt(round, client, 0) !=
+                         c.DecideAttempt(round, client, 0)
+                     ? 1
+                     : 0;
     }
   }
   EXPECT_GT(differs, 0);
@@ -119,7 +123,9 @@ TEST(FaultPlanTest, InjectionRateTracksConfiguredRate) {
   int64_t hits = 0;
   const int64_t n = 20000;
   for (int64_t client = 0; client < n; ++client) {
-    hits += plan.Decide(1, client) == FaultType::kMidRoundDropout ? 1 : 0;
+    hits += plan.DecideAttempt(1, client, 0) == FaultType::kMidRoundDropout
+                ? 1
+                : 0;
   }
   // Binomial(20000, 0.2): 4 standard deviations is ~226.
   EXPECT_NEAR(static_cast<double>(hits), 0.2 * static_cast<double>(n), 230.0);
@@ -130,21 +136,14 @@ TEST(FaultPlanTest, CrashOnlyStrikesRoundOne) {
   int64_t round1_crashes = 0;
   for (int64_t client = 0; client < 5000; ++client) {
     round1_crashes +=
-        plan.Decide(1, client) == FaultType::kRoundBoundaryCrash ? 1 : 0;
+        plan.DecideAttempt(1, client, 0) == FaultType::kRoundBoundaryCrash
+            ? 1
+            : 0;
     // In any later round the crash band maps to kNone.
-    EXPECT_EQ(plan.Decide(2, client), FaultType::kNone);
-    EXPECT_EQ(plan.Decide(3, client), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(2, client, 0), FaultType::kNone);
+    EXPECT_EQ(plan.DecideAttempt(3, client, 0), FaultType::kNone);
   }
   EXPECT_GT(round1_crashes, 0);
-}
-
-TEST(FaultPlanTest, StragglerDelayWithinWindow) {
-  const FaultPlan plan(23, SingleRate(FaultType::kStraggler, 0.5));
-  for (int64_t client = 0; client < 1000; ++client) {
-    const double delay = plan.StragglerDelayMinutes(1, client);
-    EXPECT_GE(delay, 1.0);
-    EXPECT_LE(delay, 60.0);
-  }
 }
 
 TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
@@ -152,12 +151,12 @@ TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
   for (int64_t client = 0; client < 500; ++client) {
     std::vector<uint8_t> original(10, 0xAB);
     std::vector<uint8_t> corrupted = original;
-    plan.CorruptBuffer(1, client, &corrupted);
+    plan.CorruptBuffer(1, client, 0, &corrupted);
     EXPECT_EQ(corrupted.size(), original.size());
     EXPECT_NE(corrupted, original);
     // Deterministic: the same (round, client) garbles identically.
     std::vector<uint8_t> again(10, 0xAB);
-    plan.CorruptBuffer(1, client, &again);
+    plan.CorruptBuffer(1, client, 0, &again);
     EXPECT_EQ(corrupted, again);
   }
 }
@@ -165,7 +164,7 @@ TEST(FaultPlanTest, CorruptBufferAlwaysChangesBytes) {
 TEST(FaultPlanTest, TruncatedSizeIsAlwaysShort) {
   const FaultPlan plan(25, SingleRate(FaultType::kTruncateMessage, 0.5));
   for (int64_t client = 0; client < 1000; ++client) {
-    EXPECT_LT(plan.TruncatedSize(1, client, 10), 10u);
+    EXPECT_LT(plan.TruncatedSize(1, client, 0, 10), 10u);
   }
 }
 
@@ -187,7 +186,7 @@ TEST(FaultDeliveryTest, TruncatedFramesAreAlwaysRejected) {
   FaultStats stats;
   for (int64_t client = 0; client < 1000; ++client) {
     const BitReport report{client, 3, 1};
-    EXPECT_FALSE(DeliverFaultedReport(plan, 1, client,
+    EXPECT_FALSE(DeliverFaultedReport(plan, 1, client, 0,
                                       FaultType::kTruncateMessage, report,
                                       &stats)
                      .has_value());
@@ -203,7 +202,7 @@ TEST(FaultDeliveryTest, CorruptionSplitsIntoRejectedAndAccepted) {
   for (int64_t client = 0; client < 2000; ++client) {
     const BitReport report{client, 3, 1};
     const std::optional<BitReport> delivered = DeliverFaultedReport(
-        plan, 1, client, FaultType::kCorruptMessage, report, &stats);
+        plan, 1, client, 0, FaultType::kCorruptMessage, report, &stats);
     if (delivered.has_value()) {
       // Whatever decoded is still protocol-shaped.
       EXPECT_TRUE(delivered->bit == 0 || delivered->bit == 1);

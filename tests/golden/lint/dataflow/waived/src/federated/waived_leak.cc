@@ -8,10 +8,10 @@ namespace bitpush {
 
 void FlushCalibration(const FixedPointCodec& codec,
                       const std::vector<double>& synthetic,
-                      WireWriter& out) {
-  ReportBatch batch;
-  batch.codewords = codec.EncodeAll(synthetic);
-  EncodeReportBatch(out, batch);
+                      std::vector<uint8_t>* out) {
+  ShardTickFrame frame;
+  frame.codewords = codec.EncodeAll(synthetic);
+  EncodeShardTickFrame(frame, out);
 }
 
 }  // namespace bitpush

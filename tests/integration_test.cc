@@ -192,7 +192,8 @@ TEST(IntegrationTest, PoisoningBiasLocalVsCentral) {
     Rng rng(8);
     for (int rep = 0; rep < 20; ++rep) {
       const RoundOutcome outcome =
-          server.RunRound(clients, cohort, config, nullptr, rng);
+          server.RunRound(clients, cohort, config, nullptr, rng.NextUint64(),
+                          rng);
       acc.Add(server.EstimateMean(outcome.histogram, 0.0) -
               ages.truth().mean);
     }

@@ -69,11 +69,12 @@ std::string ReadFile(const fs::path& path) {
 TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   const Result result = RunLint(FixtureRoot("bad"), LintFamilies());
   ASSERT_FALSE(result.io_error) << result.io_error_message;
-  EXPECT_EQ(result.files_scanned, 18);
+  EXPECT_EQ(result.files_scanned, 19);
 
   const std::map<Check, int> counts = CountByCheck(result);
-  EXPECT_EQ(counts.at(Check::kDeterminism), 5)
-      << FormatReport(result);  // one per banned construct line
+  // One per banned construct line: five in determinism_bad.cc, three
+  // SplitMix64 constants in private_mixer.cc.
+  EXPECT_EQ(counts.at(Check::kDeterminism), 8) << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kPrivacyMetering), 3) << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kObsStability), 3) << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kHeaderHygiene), 4) << FormatReport(result);
@@ -83,7 +84,7 @@ TEST(LintTest, BadTreeFiresEveryCheckFamily) {
   EXPECT_EQ(counts.at(Check::kWireExhaustiveness), 11)
       << FormatReport(result);
   EXPECT_EQ(counts.at(Check::kWaiverSyntax), 3) << FormatReport(result);
-  EXPECT_EQ(result.findings.size(), 29u) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 32u) << FormatReport(result);
 }
 
 TEST(LintTest, ShardLayerMeteringRulesFireAndComply) {
@@ -204,9 +205,9 @@ TEST(LintTest, ChecksFilterRestrictsFamiliesButNotWaiverSyntax) {
   const Result result = RunLint(FixtureRoot("bad"), options);
   ASSERT_FALSE(result.io_error) << result.io_error_message;
   const std::map<Check, int> counts = CountByCheck(result);
-  EXPECT_EQ(counts.at(Check::kDeterminism), 5);
+  EXPECT_EQ(counts.at(Check::kDeterminism), 8);
   EXPECT_EQ(counts.at(Check::kWaiverSyntax), 3);  // always enabled
-  EXPECT_EQ(result.findings.size(), 8u) << FormatReport(result);
+  EXPECT_EQ(result.findings.size(), 11u) << FormatReport(result);
 }
 
 // One filter can name token-level and dataflow families together: the

@@ -17,10 +17,12 @@
 #include "core/privacy_meter.h"
 #include "data/census.h"
 #include "federated/faults.h"
+#include "federated/wire.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
 #include "rng/rng.h"
 #include "snapshot_patch.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -406,6 +408,101 @@ TEST_F(RecoveryTest, SnapshotWithSessionStateIsRejected) {
   DurableCampaignRunner recovered(MakeQueries(), policy_, options);
   EXPECT_FALSE(recovered.Open(&error));
   EXPECT_NE(error.find("reserved session count"), std::string::npos) << error;
+}
+
+// Reads `path` whole, rewrites its format-version byte(s) to `version`
+// and re-seals every CRC, so the file is exactly what a writer of that
+// version would have left: a journal is patched frame by frame, a snapshot
+// at its single header byte.
+void PatchFormatVersion(const std::string& path, uint8_t version,
+                        bool is_journal) {
+  std::vector<uint8_t> data;
+  {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr) << path;
+    uint8_t chunk[4096];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+      data.insert(data.end(), chunk, chunk + n);
+    }
+    std::fclose(file);
+  }
+  const auto reseal = [&data](size_t begin, size_t size) {
+    const uint32_t crc = bytes::Crc32(data.data() + begin, size);
+    for (size_t k = 0; k < 4; ++k) {
+      data[begin + size + k] = static_cast<uint8_t>(crc >> (8 * k));
+    }
+  };
+  if (is_journal) {
+    // [version:1][type:1][seq:8][len:4][payload:len][crc32:4]
+    size_t offset = 0;
+    while (offset < data.size()) {
+      size_t cursor = offset + 10;
+      uint32_t length = 0;
+      ASSERT_TRUE(bytes::GetUint32(data, &cursor, &length));
+      data[offset] = version;
+      reseal(offset, 14 + length);
+      offset += 14 + length + 4;
+    }
+  } else {
+    // "BPSN" magic, version byte, body, crc32 over everything before it.
+    data[4] = version;
+    reseal(0, data.size() - 4);
+  }
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr) << path;
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), file), data.size());
+  std::fclose(file);
+}
+
+TEST_F(RecoveryTest, OlderFormatStateDirFailsClosedAtOpen) {
+  // A version-1 state dir was written when client coins came from the
+  // round's sequential stream; re-executing its mid-flight query under
+  // keyed coins would diverge from the journal. Open must refuse it,
+  // naming both versions, before any re-execution starts.
+  const std::string expected_message =
+      "format version 1; this build reads version " +
+      std::to_string(kWireFormatVersion);
+
+  // A crash mid-query: the journal's first half, every frame version 1.
+  const std::string journal_dir = FreshDir("v1_journal");
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_,
+                                 Options(journal_dir));
+    std::string error;
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    RunToCompletion(&runner);
+  }
+  const std::string journal_path = journal_dir + "/journal.wal";
+  JournalReadResult journal;
+  std::string error;
+  ASSERT_TRUE(ReadWholeJournal(journal_path, &journal, &error)) << error;
+  ASSERT_TRUE(TruncateJournalToRecords(journal_path,
+                                       journal.records.size() / 2, &error))
+      << error;
+  PatchFormatVersion(journal_path, 1, /*is_journal=*/true);
+  DurableCampaignRunner from_journal(MakeQueries(), policy_,
+                                     Options(journal_dir));
+  EXPECT_FALSE(from_journal.Open(&error));
+  EXPECT_NE(error.find("journal record has " + expected_message),
+            std::string::npos)
+      << error;
+
+  // A snapshot-only state dir (the journal emptied by the last snapshot).
+  const std::string snapshot_dir = FreshDir("v1_snapshot");
+  DurableCampaignOptions options = Options(snapshot_dir);
+  options.snapshot_every_ticks = 1;
+  {
+    DurableCampaignRunner runner(MakeQueries(), policy_, options);
+    ASSERT_TRUE(runner.Open(&error)) << error;
+    RunToCompletion(&runner);
+  }
+  PatchFormatVersion(snapshot_dir + "/snapshot.bin", 1, /*is_journal=*/false);
+  DurableCampaignRunner from_snapshot(MakeQueries(), policy_, options);
+  EXPECT_FALSE(from_snapshot.Open(&error));
+  EXPECT_NE(error.find("snapshot has " + expected_message),
+            std::string::npos)
+      << error;
 }
 
 }  // namespace

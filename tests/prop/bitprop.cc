@@ -4,17 +4,10 @@
 #include <cstdlib>
 #include <limits>
 
+#include "rng/keyed.h"
+
 namespace bitpush::prop {
 namespace {
-
-// SplitMix64 finalizer — the same mixing the Rng seeds itself with, reused
-// here so a case seed is a well-scrambled pure function of (base, i).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 std::optional<uint64_t> EnvUint64(const char* name) {
   const char* raw = std::getenv(name);
@@ -49,7 +42,9 @@ const RunConfig& GlobalRunConfig() {
 }
 
 uint64_t CaseSeed(uint64_t base_seed, uint64_t iteration) {
-  return Mix64(base_seed + Mix64(iteration));
+  // SplitMix64 (rng/keyed.h), so a case seed is a well-scrambled pure
+  // function of (base, i).
+  return Mix(base_seed + Mix(iteration));
 }
 
 std::string FormatFailureReport(const std::string& name,

@@ -3,11 +3,12 @@
 // Each TEST below is one universal statement from the paper — estimator
 // unbiasedness under randomized response, variance-bound monotonicity in n
 // and bit depth, exact fixed-point round-trips, secure-agg mask
-// cancellation, privacy-meter budget conservation — checked over a seeded
-// random domain instead of a hand-picked grid. Cases embed every seed they
-// need (e.g. the Monte-Carlo trial seed for the RR confidence interval), so
-// properties stay pure functions of the generated value and a printed
-// BITPROP_SEED replays generation, failure, and shrink exactly.
+// cancellation, privacy-meter budget conservation, order-free client
+// coins — checked over a seeded random domain instead of a hand-picked
+// grid. Cases embed every seed they need (e.g. the Monte-Carlo trial seed
+// for the RR confidence interval), so properties stay pure functions of the
+// generated value and a printed BITPROP_SEED replays generation, failure,
+// and shrink exactly.
 
 #include <algorithm>
 #include <cmath>
@@ -915,7 +916,8 @@ TEST(PropInvariantsTest, RoundTallyCountsEveryAcceptedReportOnce) {
         const AggregationServer server(FixedPointCodec::Integer(c.bits));
         Rng rng(c.round_seed);
         const RoundOutcome outcome =
-            server.RunRound(clients, cohort, config, nullptr, rng);
+            server.RunRound(clients, cohort, config, nullptr,
+                            rng.NextUint64(), rng);
 
         int64_t tallied = 0;
         for (int j = 0; j < c.bits; ++j) {
@@ -938,6 +940,191 @@ TEST(PropInvariantsTest, RoundTallyCountsEveryAcceptedReportOnce) {
           out << outcome.responded << " responded out of only "
               << outcome.contacted << " contacted";
           return out.str();
+        }
+        return std::nullopt;
+      });
+}
+
+// ---------------------------------------------------------------------------
+// Client coins are order-free. A client's dropout roll, value selection and
+// randomized-response flip are keyed draws of (coin key, round, client,
+// purpose), so the tally and the meter ledger of a set of (client, assigned
+// bit) requests do not depend on the order the clients answer in, nor on
+// how the requests are split into chunks and which chunk runs first — the
+// contract that lets collection run in passes, on threads, or resume from
+// state. A shared sequential Rng breaks it: permuting the requests hands
+// each client another client's coins.
+
+struct OrderFreeCase {
+  uint64_t coin_key = 0;
+  uint64_t data_seed = 0;   // client values
+  uint64_t order_seed = 0;  // permutation, chunk count, chunk order
+  int bits = 1;
+  std::vector<std::pair<int64_t, int>> pairs;  // (client id, assigned bit)
+  int64_t values_per_client = 1;
+  double dropout = 0.0;
+  double epsilon = 0.0;
+  int64_t max_bits_per_client = 1;
+  // The first `exhausted` clients spent their whole per-client budget on
+  // earlier queries, so the meter denies them in this round.
+  int64_t exhausted = 0;
+};
+
+Domain<OrderFreeCase> OrderFreeDomain() {
+  Domain<OrderFreeCase> domain;
+  domain.generate = [](Rng& rng) {
+    OrderFreeCase c;
+    c.coin_key = rng.NextUint64();
+    c.data_seed = rng.NextUint64();
+    c.order_seed = rng.NextUint64();
+    c.bits = 1 + static_cast<int>(rng.NextBelow(8));
+    const int64_t n = 1 + static_cast<int64_t>(rng.NextBelow(200));
+    // Distinct, sparse client ids: one assignment per client per round.
+    int64_t id = static_cast<int64_t>(rng.NextBelow(1000));
+    for (int64_t i = 0; i < n; ++i) {
+      id += 1 + static_cast<int64_t>(rng.NextBelow(50));
+      c.pairs.emplace_back(id, static_cast<int>(rng.NextBelow(
+                                   static_cast<uint64_t>(c.bits))));
+    }
+    c.values_per_client = 1 + static_cast<int64_t>(rng.NextBelow(4));
+    c.dropout = rng.NextBit() == 1 ? 0.0 : 0.5 * rng.NextDouble();
+    c.epsilon = rng.NextBit() == 1 ? 0.0 : 0.5 + 3.5 * rng.NextDouble();
+    c.max_bits_per_client = 1 + static_cast<int64_t>(rng.NextBelow(3));
+    c.exhausted = static_cast<int64_t>(
+        rng.NextBelow(static_cast<uint64_t>(n) + 1));
+    return c;
+  };
+  domain.shrink = [](const OrderFreeCase& c) {
+    std::vector<OrderFreeCase> out;
+    if (c.pairs.size() > 1) {
+      OrderFreeCase smaller = c;
+      smaller.pairs.resize(c.pairs.size() / 2);
+      smaller.exhausted = std::min<int64_t>(
+          c.exhausted, static_cast<int64_t>(smaller.pairs.size()));
+      out.push_back(smaller);
+    }
+    if (c.exhausted > 0) {
+      OrderFreeCase smaller = c;
+      smaller.exhausted = 0;
+      out.push_back(smaller);
+    }
+    if (c.values_per_client > 1) {
+      OrderFreeCase smaller = c;
+      smaller.values_per_client = 1;
+      out.push_back(smaller);
+    }
+    return out;
+  };
+  domain.describe = [](const OrderFreeCase& c) {
+    std::ostringstream out;
+    out << "{pairs=" << c.pairs.size() << " bits=" << c.bits
+        << " values_per_client=" << c.values_per_client
+        << " dropout=" << c.dropout << " epsilon=" << c.epsilon
+        << " max_bits_per_client=" << c.max_bits_per_client
+        << " exhausted=" << c.exhausted << "}";
+    return out.str();
+  };
+  return domain;
+}
+
+struct OrderFreeTally {
+  BitHistogram histogram;
+  std::vector<uint8_t> meter;
+};
+
+// Answers every request of `c` through Client::HandleRequest in `order`,
+// cut into `chunks` contiguous chunks that run in `chunk_order`, each
+// tallied into its own histogram and merged at the end.
+OrderFreeTally RunOrderFree(const OrderFreeCase& c,
+                            const std::vector<Client>& clients,
+                            const std::vector<size_t>& order, size_t chunks,
+                            const std::vector<size_t>& chunk_order) {
+  constexpr int64_t kRoundId = 2;
+  constexpr int64_t kValueId = 7;
+  MeterPolicy policy;
+  policy.max_bits_per_client = c.max_bits_per_client;
+  PrivacyMeter meter(policy);
+  for (int64_t i = 0; i < c.exhausted; ++i) {
+    for (int64_t k = 0; k < c.max_bits_per_client; ++k) {
+      meter.TryChargeBit(c.pairs[static_cast<size_t>(i)].first,
+                         kValueId + 1 + k, c.epsilon);
+    }
+  }
+  const FixedPointCodec codec = FixedPointCodec::Integer(c.bits);
+  OrderFreeTally tally{BitHistogram(c.bits), {}};
+  for (const size_t chunk : chunk_order) {
+    BitHistogram part(c.bits);
+    const size_t begin = chunk * order.size() / chunks;
+    const size_t end = (chunk + 1) * order.size() / chunks;
+    for (size_t k = begin; k < end; ++k) {
+      const size_t i = order[k];
+      const BitRequest request{kRoundId, kValueId, c.pairs[i].second,
+                               c.epsilon};
+      const std::optional<BitReport> report = clients[i].HandleRequest(
+          request, codec, /*local_randomness=*/false, &meter, c.coin_key);
+      if (report.has_value()) part.Add(request.bit_index, report->bit);
+    }
+    tally.histogram.Merge(part);
+  }
+  meter.EncodeTo(&tally.meter);
+  return tally;
+}
+
+TEST(PropInvariantsTest, ClientCoinsAreOrderFree) {
+  CheckProperty<OrderFreeCase>(
+      "the histogram and the meter bytes of a set of (client, bit) requests "
+      "are identical under any permutation and any chunked run order",
+      OrderFreeDomain(),
+      [](const OrderFreeCase& c) -> std::optional<std::string> {
+        Rng data_rng(c.data_seed);
+        ClientConfig config;
+        config.dropout_probability = c.dropout;
+        config.value_policy = ValuePolicy::kSampleOne;
+        const uint64_t levels = uint64_t{1} << c.bits;
+        std::vector<Client> clients;
+        for (const auto& [id, bit] : c.pairs) {
+          std::vector<double> values(static_cast<size_t>(c.values_per_client));
+          for (double& v : values) {
+            v = static_cast<double>(data_rng.NextBelow(levels));
+          }
+          clients.emplace_back(id, std::move(values), config);
+        }
+        const size_t n = c.pairs.size();
+        std::vector<size_t> identity(n);
+        for (size_t i = 0; i < n; ++i) identity[i] = i;
+        const OrderFreeTally reference =
+            RunOrderFree(c, clients, identity, 1, {0});
+
+        Rng order_rng(c.order_seed);
+        const auto shuffle = [&order_rng](std::vector<size_t>* v) {
+          for (size_t i = v->size(); i > 1; --i) {
+            std::swap((*v)[i - 1], (*v)[order_rng.NextBelow(i)]);
+          }
+        };
+        for (int trial = 0; trial < 3; ++trial) {
+          std::vector<size_t> order = identity;
+          shuffle(&order);
+          const size_t chunks =
+              1 + order_rng.NextBelow(std::min<size_t>(n, 8));
+          std::vector<size_t> chunk_order(chunks);
+          for (size_t k = 0; k < chunks; ++k) chunk_order[k] = k;
+          shuffle(&chunk_order);
+          const OrderFreeTally run =
+              RunOrderFree(c, clients, order, chunks, chunk_order);
+          if (run.histogram.totals() != reference.histogram.totals() ||
+              run.histogram.one_counts() !=
+                  reference.histogram.one_counts()) {
+            std::ostringstream out;
+            out << "trial " << trial << " (" << chunks
+                << " chunks): the histogram depends on the answer order";
+            return out.str();
+          }
+          if (run.meter != reference.meter) {
+            std::ostringstream out;
+            out << "trial " << trial << " (" << chunks
+                << " chunks): the meter bytes depend on the answer order";
+            return out.str();
+          }
         }
         return std::nullopt;
       });

@@ -495,7 +495,7 @@ TEST(ResilienceRoundTest, CancelledHedgesAreNeverContactedOrMetered) {
   Rng rng(17);
   const AggregationServer server(codec);
   const RoundOutcome outcome =
-      server.RunRound(clients, cohort, config, &meter, rng);
+      server.RunRound(clients, cohort, config, &meter, rng.NextUint64(), rng);
 
   EXPECT_EQ(outcome.retry.hedges_issued, 30);
   EXPECT_EQ(outcome.retry.hedges_issued, outcome.retry.hedges_cancelled);

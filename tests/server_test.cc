@@ -30,7 +30,7 @@ TEST(ServerTest, RoundCollectsOneReportPerClient) {
   const AggregationServer server(FixedPointCodec::Integer(4));
   Rng rng(1);
   const RoundOutcome outcome = server.RunRound(
-      clients, AllOf(clients), BasicConfig(4), nullptr, rng);
+      clients, AllOf(clients), BasicConfig(4), nullptr, rng.NextUint64(), rng);
   EXPECT_EQ(outcome.contacted, 4);
   EXPECT_EQ(outcome.responded, 4);
   EXPECT_EQ(outcome.histogram.TotalReports(), 4);
@@ -47,7 +47,8 @@ TEST(ServerTest, IntendedCountsMatchQmcAllocation) {
   config.probabilities = {0.5, 0.25, 0.125, 0.125};
   Rng rng(2);
   const RoundOutcome outcome =
-      server.RunRound(clients, AllOf(clients), config, nullptr, rng);
+      server.RunRound(clients, AllOf(clients), config, nullptr,
+                      rng.NextUint64(), rng);
   EXPECT_EQ(outcome.intended_counts,
             (std::vector<int64_t>{500, 250, 125, 125}));
   EXPECT_EQ(outcome.histogram.totals(), outcome.intended_counts);
@@ -61,7 +62,7 @@ TEST(ServerTest, EstimateMeanRecoversPopulationMean) {
   const AggregationServer server(FixedPointCodec::Integer(7));
   Rng rng(4);
   const RoundOutcome outcome = server.RunRound(
-      clients, AllOf(clients), BasicConfig(7), nullptr, rng);
+      clients, AllOf(clients), BasicConfig(7), nullptr, rng.NextUint64(), rng);
   const double estimate = server.EstimateMean(outcome.histogram, 0.0);
   EXPECT_NEAR(estimate, ages.truth().mean, 0.1 * ages.truth().mean);
 }
@@ -76,7 +77,8 @@ TEST(ServerTest, EstimateMeanUnbiasesDp) {
   config.epsilon = 2.0;
   Rng rng(6);
   const RoundOutcome outcome =
-      server.RunRound(clients, AllOf(clients), config, nullptr, rng);
+      server.RunRound(clients, AllOf(clients), config, nullptr,
+                      rng.NextUint64(), rng);
   const double estimate =
       server.EstimateMean(outcome.histogram, config.epsilon);
   EXPECT_NEAR(estimate, ages.truth().mean, 0.25 * ages.truth().mean);
@@ -90,7 +92,7 @@ TEST(ServerTest, DropoutReducesResponses) {
   const AggregationServer server(FixedPointCodec::Integer(4));
   Rng rng(7);
   const RoundOutcome outcome = server.RunRound(
-      clients, AllOf(clients), BasicConfig(4), nullptr, rng);
+      clients, AllOf(clients), BasicConfig(4), nullptr, rng.NextUint64(), rng);
   EXPECT_NEAR(outcome.dropout_rate, 0.4, 0.03);
   EXPECT_LT(outcome.responded, outcome.contacted);
   // Estimates still work off the responders.
@@ -111,9 +113,11 @@ TEST(ServerTest, SecureAggregationPreservesTallies) {
   Rng rng_plain(9);
   Rng rng_secure(9);
   const RoundOutcome plain_outcome =
-      server.RunRound(clients, AllOf(clients), plain, nullptr, rng_plain);
+      server.RunRound(clients, AllOf(clients), plain, nullptr,
+                      rng_plain.NextUint64(), rng_plain);
   const RoundOutcome secure_outcome = server.RunRound(
-      clients, AllOf(clients), secure, nullptr, rng_secure);
+      clients, AllOf(clients), secure, nullptr, rng_secure.NextUint64(),
+      rng_secure);
   // Same seed, same assignment, no dropout: identical histograms even
   // though the secure path only ever sees masked sums.
   EXPECT_EQ(plain_outcome.histogram.totals(),
@@ -142,7 +146,8 @@ TEST(ServerTest, CentralModeIgnoresClaimedIndex) {
   config.central_randomness = true;
   Rng rng(10);
   const RoundOutcome outcome =
-      server.RunRound(clients, AllOf(clients), config, nullptr, rng);
+      server.RunRound(clients, AllOf(clients), config, nullptr,
+                      rng.NextUint64(), rng);
   EXPECT_EQ(outcome.histogram.total(7), 0);   // defense holds
   EXPECT_EQ(outcome.histogram.ones(0), 100);  // adversaries flipped bit 0
 }
@@ -162,7 +167,8 @@ TEST(ServerTest, LocalModeIsVulnerableToIndexHijack) {
   config.central_randomness = false;
   Rng rng(11);
   const RoundOutcome outcome =
-      server.RunRound(clients, AllOf(clients), config, nullptr, rng);
+      server.RunRound(clients, AllOf(clients), config, nullptr,
+                      rng.NextUint64(), rng);
   // Adversaries claimed the top bit and the server believed them.
   EXPECT_EQ(outcome.histogram.total(7), 100);
   EXPECT_EQ(outcome.histogram.ones(7), 100);
@@ -181,7 +187,8 @@ TEST(ServerTest, MalformedIndicesRejectedUnderLocalRandomness) {
   config.central_randomness = false;
   Rng rng(20);
   const RoundOutcome outcome =
-      server.RunRound(clients, AllOf(clients), config, nullptr, rng);
+      server.RunRound(clients, AllOf(clients), config, nullptr,
+                      rng.NextUint64(), rng);
   EXPECT_EQ(outcome.malformed_reports, 20);
   EXPECT_EQ(outcome.responded, 80);
   EXPECT_EQ(outcome.histogram.TotalReports(), 80);
@@ -198,7 +205,7 @@ TEST(ServerTest, GarbageIndexHarmlessUnderCentralRandomness) {
   const AggregationServer server(FixedPointCodec::Integer(4));
   Rng rng(21);
   const RoundOutcome outcome = server.RunRound(
-      clients, AllOf(clients), BasicConfig(4), nullptr, rng);
+      clients, AllOf(clients), BasicConfig(4), nullptr, rng.NextUint64(), rng);
   // Central randomness re-pins the index; the report degrades to a bit
   // flip rather than a malformed message.
   EXPECT_EQ(outcome.malformed_reports, 0);
@@ -212,9 +219,10 @@ TEST(ServerTest, MeterDenialsShowUpAsNonResponse) {
   const AggregationServer server(FixedPointCodec::Integer(4));
   Rng rng(12);
   // First round consumes each client's single allowed bit for value 0.
-  server.RunRound(clients, AllOf(clients), BasicConfig(4), &meter, rng);
+  server.RunRound(clients, AllOf(clients), BasicConfig(4), &meter,
+                  rng.NextUint64(), rng);
   const RoundOutcome second = server.RunRound(
-      clients, AllOf(clients), BasicConfig(4), &meter, rng);
+      clients, AllOf(clients), BasicConfig(4), &meter, rng.NextUint64(), rng);
   EXPECT_EQ(second.responded, 0);
   EXPECT_EQ(meter.denied_charges(), 2);
 }

@@ -8,7 +8,8 @@
 //   bitpush_doctor --validate_events=events.jsonl
 //
 // Report sections (each emitted only when its input is present):
-//   journal   — record count, type histogram, torn-tail verdict
+//   journal   — snapshot and record format check, record count, type
+//               histogram, torn-tail verdict
 //   events    — flight-recorder timeline (stable stream first)
 //   alerts    — fired/resolved alert transitions from the event stream
 //   shards    — per-shard loss/recovery attribution, slowest shard named
@@ -28,6 +29,7 @@
 
 #include "obs/export.h"
 #include "persist/journal.h"
+#include "persist/snapshot.h"
 #include "util/flags.h"
 
 namespace bitpush {
@@ -104,11 +106,6 @@ const char* JournalRecordTypeName(JournalRecordType type) {
   return "unknown";
 }
 
-bool FileExists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return static_cast<bool>(in);
-}
-
 // CI mode: every non-empty line must be a standalone well-formed JSON
 // value. Returns the process exit status.
 int ValidateEvents(const std::string& path) {
@@ -137,20 +134,30 @@ int ValidateEvents(const std::string& path) {
 void AppendJournalSection(const std::string& state_dir, std::string* report) {
   const std::string journal_path = state_dir + "/journal.wal";
   *report += "== journal (" + journal_path + ") ==\n";
-  JournalReadResult result;
+  // A snapshot of another format version is as fatal to recovery as a
+  // corrupt journal, so it is checked first.
+  CoordinatorSnapshot snapshot;
+  bool have_snapshot = false;
   std::string error;
+  if (!LoadSnapshotFile(state_dir + "/snapshot.bin", &snapshot,
+                        &have_snapshot, &error)) {
+    *report += "snapshot.bin: UNREADABLE: " + error + "\n";
+    *report += "(recovery would fail closed here)\n\n";
+    return;
+  }
+  JournalReadResult result;
   // ReadWholeJournal tolerates a first sequence number > 0 — the normal
   // state of a journal truncated by a snapshot.
   if (!ReadWholeJournal(journal_path, &result, &error)) {
     *report += "UNREADABLE: " + error + "\n";
-    *report += "(hard corruption — recovery would fail closed here)\n\n";
+    *report += "(corrupt or another format version — recovery would fail "
+               "closed here)\n\n";
     return;
   }
   *report += "records: " + std::to_string(result.records.size()) + "\n";
   *report += "next_seq: " + std::to_string(result.next_seq) + "\n";
   *report += std::string("snapshot.bin: ") +
-             (FileExists(state_dir + "/snapshot.bin") ? "present" : "absent") +
-             "\n";
+             (have_snapshot ? "present" : "absent") + "\n";
   if (result.torn_tail) {
     *report += "torn tail: YES — file ends mid-frame after byte " +
                std::to_string(result.clean_length) +

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <initializer_list>
 #include <map>
 #include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,7 +50,7 @@ const std::vector<std::pair<std::regex, std::string>>& SinkRules() {
   static const auto* rules = [] {
     auto* r = new std::vector<std::pair<std::regex, std::string>>;
     const SinkRule raw[] = {
-        {R"(\bEncode(BitReport|ReportBatch|BitRequest|RequestBatch|CommunicationStats)\s*\()",
+        {R"(\bEncode(BitReport|CommunicationStats)\s*\()",
          "wire encoder"},
         {R"(\bEncodeShard(TickFrame|Metrics)\s*\()", "shard wire encoder"},
         {R"(\bEncode[A-Za-z0-9_]+Record\s*\()", "journal record codec"},
@@ -118,6 +120,18 @@ std::string TidyToken(std::string token) {
   return token;
 }
 
+// Literal prefilter: true when `text` holds any of `literals`. Each regex
+// below is guarded by literals that every one of its matches contains, so
+// a statement without them skips the regex search and the classification
+// is unchanged.
+bool ContainsAny(const std::string& text,
+                 std::initializer_list<std::string_view> literals) {
+  for (const std::string_view literal : literals) {
+    if (text.find(literal) != std::string::npos) return true;
+  }
+  return false;
+}
+
 std::string FirstMatch(const std::string& text, const std::regex& re) {
   std::smatch match;
   if (std::regex_search(text, match, re)) return TidyToken(match[0].str());
@@ -182,23 +196,36 @@ std::vector<FnInfo> PreprocessFunctions(const Index& index) {
     info.in_src =
         StartsWith(index.files[fn.file_index].rel_path, "src/");
     for (const Statement& stmt : fn.statements) {
+      const std::string& text = stmt.text;
       StmtInfo si;
       si.line = stmt.line;
-      si.source_what = FirstMatch(stmt.text, SourceRe());
-      si.source = !si.source_what.empty();
-      si.sanitizer = std::regex_search(stmt.text, SanitizerRe());
-      for (const auto& [re, label] : SinkRules()) {
-        std::smatch match;
-        if (std::regex_search(stmt.text, match, re)) {
-          si.sink = true;
-          si.sink_what = label + (": " + TidyToken(match[0].str()));
-          break;
+      if (ContainsAny(text, {"SelectValue", "Encode", "FixedPointCodec",
+                             "BuildReportBatch"})) {
+        si.source_what = FirstMatch(text, SourceRe());
+        si.source = !si.source_what.empty();
+      }
+      si.sanitizer =
+          ContainsAny(text, {"Apply", "PerturbBatch", "DrawFlip", "Mask"}) &&
+          std::regex_search(text, SanitizerRe());
+      if (ContainsAny(text, {"Encode", "Append", "EmitEvent", "Text", "Json",
+                             "Snapshot"})) {
+        for (const auto& [re, label] : SinkRules()) {
+          std::smatch match;
+          if (std::regex_search(text, match, re)) {
+            si.sink = true;
+            si.sink_what = label + (": " + TidyToken(match[0].str()));
+            break;
+          }
         }
       }
-      si.charge = std::regex_search(stmt.text, ChargeRe());
-      si.disclosure = std::regex_search(stmt.text, DisclosureRe());
-      si.callees =
-          ResolveCallees(index, file_by_rel, fn.file_index, stmt.text);
+      si.charge = ContainsAny(text, {"TryChargeBit"}) &&
+                  std::regex_search(text, ChargeRe());
+      si.disclosure =
+          ContainsAny(text, {"Apply", "PerturbBatch", "BitReport"}) &&
+          std::regex_search(text, DisclosureRe());
+      if (text.find('(') != std::string::npos) {
+        si.callees = ResolveCallees(index, file_by_rel, fn.file_index, text);
+      }
       info.stmts.push_back(std::move(si));
     }
     infos.push_back(std::move(info));

@@ -132,6 +132,26 @@ struct TokenRule {
 };
 
 void CheckDeterminism(const SourceFile& file, std::vector<Finding>* findings) {
+  // Keyed coins come from one place (src/rng/keyed.h): a SplitMix64
+  // constant anywhere else is a private mixer whose draws nothing else in
+  // the tree can reproduce or audit.
+  if (!StartsWith(file.rel_path, "src/rng/")) {
+    static const std::regex kSplitMixRe(
+        R"(0x(9e3779b97f4a7c15|bf58476d1ce4e5b9|94d049bb133111eb))",
+        std::regex::icase);
+    for (size_t i = 0; i < file.code_lines.size(); ++i) {
+      const std::string& code = file.code_lines[i];
+      if ((code.find("0x") != std::string::npos ||
+           code.find("0X") != std::string::npos) &&
+          std::regex_search(code, kSplitMixRe)) {
+        findings->push_back(
+            {file.rel_path, static_cast<int>(i + 1), Check::kDeterminism,
+             "SplitMix64 constant outside src/rng/: derive keyed draws with "
+             "rng/keyed.h (KeyedHash/KeyedUniform) instead of a private "
+             "mixer"});
+      }
+    }
+  }
   if (IsWallClockAllowlisted(file.rel_path)) return;
   static const std::vector<std::pair<std::regex, std::string>>* kRules = [] {
     auto* rules = new std::vector<std::pair<std::regex, std::string>>;
@@ -176,7 +196,7 @@ void CheckPrivacyMetering(const SourceFile& file,
                           std::vector<Finding>* findings) {
   if (file.is_header) return;
   static const std::regex kDisclosureRe(
-      R"(\b(EncodeBitReport|EncodeReportBatch)\s*\(|\bBitReport\s*\{)");
+      R"(\bEncodeBitReport\s*\(|\bBitReport\s*\{)");
   static const std::regex kChargePathRe(R"(\b(TryChargeBit|PrivacyMeter)\b)");
   static const std::regex kLocalMeterRe(R"(\blocal_meter\b)");
   static const std::regex kChargeCallRe(R"(\bTryChargeBit\b)");

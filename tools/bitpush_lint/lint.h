@@ -18,7 +18,9 @@
 //   determinism         bans ambient-entropy and wall-clock constructs
 //                       (std::random_device, std::rand, time(),
 //                       system_clock/steady_clock, std RNG engines)
-//                       outside the wall-clock allowlist.
+//                       outside the wall-clock allowlist, and SplitMix64
+//                       constants outside src/rng/ (keyed draws come
+//                       from rng/keyed.h, not a private mixer).
 //   privacy-metering    a TU that serializes or constructs client bit
 //                       reports must reference the PrivacyMeter charge
 //                       path (TryChargeBit) or carry a waiver.
