@@ -8,6 +8,59 @@
 
 namespace bitpush {
 
+int64_t Round1CohortSize(int64_t n, double delta) {
+  const int64_t n1 =
+      static_cast<int64_t>(std::llround(delta * static_cast<double>(n)));
+  return std::clamp<int64_t>(n1, 1, n - 1);
+}
+
+std::vector<double> LearnRound2Probabilities(
+    const BitHistogram& round1, const std::vector<double>& round1_probabilities,
+    const AdaptiveConfig& config) {
+  const RandomizedResponse rr =
+      RandomizedResponse::FromEpsilon(config.epsilon);
+  const std::vector<double> round1_means = round1.UnbiasedMeans(rr);
+  const std::vector<bool> round1_keep =
+      ComputeSquashMask(round1_means, round1.totals(), rr, config.squash);
+  return AdaptiveProbabilitiesMasked(round1_means, round1_keep, config.alpha,
+                                     round1_probabilities);
+}
+
+AdaptiveEstimate FinishAdaptive(const BitHistogram& round1,
+                                const BitHistogram& round2,
+                                const AdaptiveConfig& config) {
+  const RandomizedResponse rr =
+      RandomizedResponse::FromEpsilon(config.epsilon);
+  AdaptiveEstimate result;
+  std::vector<int64_t> final_counts;
+  if (config.caching) {
+    BitHistogram pooled = round1;
+    pooled.Merge(round2);
+    result.final_means = pooled.UnbiasedMeans(rr);
+    final_counts = pooled.totals();
+  } else {
+    // Round-2-only estimate; bits the learned allocation skipped fall back
+    // to their round-1 means (the only information available for them).
+    std::vector<bool> observed;
+    result.final_means = round2.UnbiasedMeans(rr, &observed);
+    final_counts = round2.totals();
+    const std::vector<double> round1_means = round1.UnbiasedMeans(rr);
+    for (size_t j = 0; j < result.final_means.size(); ++j) {
+      if (!observed[j]) {
+        result.final_means[j] = round1_means[j];
+        final_counts[j] = round1.totals()[j];
+      }
+    }
+  }
+  result.kept = ComputeSquashMask(result.final_means, final_counts, rr,
+                                  config.squash);
+  result.estimate_codeword =
+      RecombineBitMeans(result.final_means, result.kept);
+  result.variance_bound =
+      PluginVariance(final_counts, result.final_means, rr, result.kept);
+  return result;
+}
+
 AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
                                      const AdaptiveConfig& config, Rng& rng) {
   BITPUSH_CHECK_GE(config.bits, 1);
@@ -15,12 +68,8 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
   BITPUSH_CHECK_LT(config.delta, 1.0);
   BITPUSH_CHECK_GE(codewords.size(), 2u);
 
-  const RandomizedResponse rr =
-      RandomizedResponse::FromEpsilon(config.epsilon);
-  const int64_t n = static_cast<int64_t>(codewords.size());
-  int64_t n1 = static_cast<int64_t>(
-      std::llround(config.delta * static_cast<double>(n)));
-  n1 = std::clamp<int64_t>(n1, 1, n - 1);
+  const int64_t n1 = Round1CohortSize(
+      static_cast<int64_t>(codewords.size()), config.delta);
 
   // Round 1: input-independent geometric probe over a delta fraction.
   AdaptiveResult result;
@@ -35,14 +84,9 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
                                       codewords.begin() + n1);
   result.round1 = RunBasicBitPushing(cohort1, round1_config, rng);
 
-  // Learn the round-2 allocation from the probe; squashed bits get zero
-  // sampling weight (Section 3.3).
-  const std::vector<bool> round1_keep =
-      ComputeSquashMask(result.round1.bit_means,
-                        result.round1.histogram.totals(), rr, config.squash);
-  result.round2_probabilities = AdaptiveProbabilitiesMasked(
-      result.round1.bit_means, round1_keep, config.alpha,
-      result.round1_probabilities);
+  // Learn the round-2 allocation from the probe.
+  result.round2_probabilities = LearnRound2Probabilities(
+      result.round1.histogram, result.round1_probabilities, config);
 
   // Round 2 over the remaining clients.
   BitPushingConfig round2_config{
@@ -54,42 +98,8 @@ AdaptiveResult RunAdaptiveBitPushing(const std::vector<uint64_t>& codewords,
                                       codewords.end());
   result.round2 = RunBasicBitPushing(cohort2, round2_config, rng);
 
-  // Final aggregation (Algorithm 2, lines 9-11).
-  BitHistogram pooled = result.round1.histogram;
-  pooled.Merge(result.round2.histogram);
-  std::vector<int64_t> final_counts;
-  if (config.caching) {
-    result.final_means = pooled.UnbiasedMeans(rr);
-    final_counts = pooled.totals();
-  } else {
-    // Round-2-only estimate; bits the learned allocation skipped fall back
-    // to their round-1 means (the only information available for them).
-    result.final_means = result.round2.bit_means;
-    final_counts = result.round2.histogram.totals();
-    for (size_t j = 0; j < result.final_means.size(); ++j) {
-      if (!result.round2.observed[j]) {
-        result.final_means[j] = result.round1.bit_means[j];
-        final_counts[j] = result.round1.histogram.totals()[j];
-      }
-    }
-  }
-
-  result.kept = ComputeSquashMask(result.final_means, final_counts, rr,
-                                  config.squash);
-  result.estimate_codeword =
-      RecombineBitMeans(result.final_means, result.kept);
-
-  // Plug-in variance over the kept bits.
-  const double rr_var = rr.ReportVariance();
-  double variance = 0.0;
-  for (size_t j = 0; j < result.final_means.size(); ++j) {
-    if (!result.kept[j] || final_counts[j] == 0) continue;
-    const double m = std::clamp(result.final_means[j], 0.0, 1.0);
-    variance += std::exp2(2.0 * static_cast<double>(j)) *
-                (m * (1.0 - m) + rr_var) /
-                static_cast<double>(final_counts[j]);
-  }
-  result.variance_bound = variance;
+  static_cast<AdaptiveEstimate&>(result) =
+      FinishAdaptive(result.round1.histogram, result.round2.histogram, config);
   return result;
 }
 

@@ -38,16 +38,10 @@ struct AdaptiveConfig {
   SquashPolicy squash = SquashPolicy::Off();
 };
 
-struct AdaptiveResult {
+// The final aggregation of Algorithm 2 (lines 9-11).
+struct AdaptiveEstimate {
   // Final estimate in codeword space.
   double estimate_codeword = 0.0;
-  // The two per-round results (round2 may have zero reports for bits whose
-  // learned probability collapsed to 0).
-  BitPushingResult round1;
-  BitPushingResult round2;
-  // The probabilities used in each round.
-  std::vector<double> round1_probabilities;
-  std::vector<double> round2_probabilities;
   // Means entering the final recombination (pooled if caching).
   std::vector<double> final_means;
   // Post-squash keep mask applied to final_means.
@@ -55,6 +49,36 @@ struct AdaptiveResult {
   // Plug-in variance of the final estimate.
   double variance_bound = 0.0;
 };
+
+struct AdaptiveResult : AdaptiveEstimate {
+  // The two per-round results (round2 may have zero reports for bits whose
+  // learned probability collapsed to 0).
+  BitPushingResult round1;
+  BitPushingResult round2;
+  // The probabilities used in each round.
+  std::vector<double> round1_probabilities;
+  std::vector<double> round2_probabilities;
+};
+
+// Number of the n >= 2 clients probed in round 1: round(delta * n),
+// clamped so both rounds get at least one client.
+int64_t Round1CohortSize(int64_t n, double delta);
+
+// The round-2 allocation learned from round 1's tallies: unbiased round-1
+// means, the squash mask (squashed bits get zero sampling weight, Section
+// 3.3), then AdaptiveProbabilitiesMasked with `round1_probabilities` as the
+// fallback allocation.
+std::vector<double> LearnRound2Probabilities(
+    const BitHistogram& round1, const std::vector<double>& round1_probabilities,
+    const AdaptiveConfig& config);
+
+// Final aggregation over both rounds' tallies. With caching the rounds are
+// pooled per bit; otherwise round 2's means are used, falling back to
+// round 1's for bits round 2 did not observe. The squash mask is recomputed
+// on the final means and masks both the recombination and the variance.
+AdaptiveEstimate FinishAdaptive(const BitHistogram& round1,
+                                const BitHistogram& round2,
+                                const AdaptiveConfig& config);
 
 // Runs Algorithm 2 over the whole codeword population. Requires
 // codewords.size() >= 2 so both rounds have at least one client, and

@@ -134,18 +134,20 @@ int MakeBitReport(uint64_t codeword, int bit_index,
   return rr.Apply(FixedPointCodec::Bit(codeword, bit_index), rng);
 }
 
-double PluginVariance(const BitHistogram& histogram,
+double PluginVariance(const std::vector<int64_t>& counts,
                       const std::vector<double>& means,
-                      const RandomizedResponse& rr) {
-  BITPUSH_CHECK_EQ(static_cast<size_t>(histogram.bits()), means.size());
+                      const RandomizedResponse& rr,
+                      const std::vector<bool>& keep) {
+  BITPUSH_CHECK_EQ(counts.size(), means.size());
+  BITPUSH_CHECK_EQ(counts.size(), keep.size());
   const double rr_var = rr.ReportVariance();
   double variance = 0.0;
-  for (int j = 0; j < histogram.bits(); ++j) {
-    const int64_t count = histogram.total(j);
-    if (count == 0) continue;
-    const double m = std::clamp(means[static_cast<size_t>(j)], 0.0, 1.0);
+  for (size_t j = 0; j < counts.size(); ++j) {
+    if (!keep[j] || counts[j] == 0) continue;
+    const double m = std::clamp(means[j], 0.0, 1.0);
     const double per_report = m * (1.0 - m) + rr_var;
-    variance += std::exp2(2.0 * j) * per_report / static_cast<double>(count);
+    variance += std::exp2(2.0 * static_cast<double>(j)) * per_report /
+                static_cast<double>(counts[j]);
   }
   return variance;
 }
@@ -190,8 +192,8 @@ BitPushingResult RunBasicBitPushing(const std::vector<uint64_t>& codewords,
 
   result.bit_means = result.histogram.UnbiasedMeans(rr, &result.observed);
   result.estimate_codeword = RecombineBitMeans(result.bit_means);
-  result.variance_bound = PluginVariance(result.histogram, result.bit_means,
-                                         rr);
+  result.variance_bound = PluginVariance(
+      result.histogram.totals(), result.bit_means, rr, result.observed);
   return result;
 }
 

@@ -87,8 +87,8 @@ double RecombineBitMeans(const std::vector<double>& means,
                          const std::vector<bool>& keep);
 
 // Client-side primitive: extracts bit `bit_index` of `codeword` and applies
-// randomized response. This is the *only* place a private bit leaves a
-// client, which is what makes the one-bit disclosure guarantee auditable.
+// randomized response with a draw from `rng`. The federated client
+// (Client::HandleRequest) applies `rr` itself with a keyed coin instead.
 int MakeBitReport(uint64_t codeword, int bit_index,
                   const RandomizedResponse& rr, Rng& rng);
 
@@ -128,12 +128,13 @@ struct BitPushingResult {
 BitPushingResult RunBasicBitPushing(const std::vector<uint64_t>& codewords,
                                     const BitPushingConfig& config, Rng& rng);
 
-// Plug-in variance of a completed collection (used for both fresh and
-// pooled histograms): sum_j 4^j (v_j + rr_var) / count_j over observed
-// bits with positive estimated variance.
-double PluginVariance(const BitHistogram& histogram,
+// Plug-in variance of a completed collection from its per-bit report
+// counts (fresh, pooled or mixed across rounds): sum_j 4^j (v_j + rr_var) /
+// count_j over the bits with keep[j] and count_j > 0.
+double PluginVariance(const std::vector<int64_t>& counts,
                       const std::vector<double>& means,
-                      const RandomizedResponse& rr);
+                      const RandomizedResponse& rr,
+                      const std::vector<bool>& keep);
 
 }  // namespace bitpush
 

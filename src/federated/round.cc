@@ -5,8 +5,6 @@
 #include <unordered_set>
 
 #include "core/bit_probabilities.h"
-#include "core/bit_pushing.h"
-#include "core/bit_squashing.h"
 #include "federated/obs_hooks.h"
 #include "federated/persist_hooks.h"
 #include "kernels/kernels.h"
@@ -46,9 +44,7 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   }
 
   const int64_t n = static_cast<int64_t>(cohort.size());
-  int64_t n1 = static_cast<int64_t>(
-      std::llround(config.adaptive.delta * static_cast<double>(n)));
-  n1 = std::clamp<int64_t>(n1, 1, n - 1);
+  const int64_t n1 = Round1CohortSize(n, config.adaptive.delta);
   const std::vector<int64_t> cohort1(cohort.begin(), cohort.begin() + n1);
   const std::vector<int64_t> cohort2(cohort.begin() + n1, cohort.end());
 
@@ -63,8 +59,6 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   std::vector<int64_t> pool2(leftover.begin() + pool1_size, leftover.end());
 
   const AggregationServer server(codec);
-  const RandomizedResponse rr =
-      RandomizedResponse::FromEpsilon(config.adaptive.epsilon);
 
   // The query's deadline budget is split across the two rounds by cohort
   // share — the same delta that splits the cohort splits the time.
@@ -160,14 +154,9 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
     result.used_static_fallback = true;
     ++result.faults.static_policy_fallbacks;
   } else {
-    const std::vector<double> round1_means =
-        result.round1.histogram.UnbiasedMeans(rr);
-    const std::vector<bool> round1_keep =
-        ComputeSquashMask(round1_means, result.round1.histogram.totals(), rr,
-                          config.adaptive.squash);
-    round2_probabilities = AdaptiveProbabilitiesMasked(
-        round1_means, round1_keep, config.adaptive.alpha,
-        round1_config.probabilities);
+    round2_probabilities = LearnRound2Probabilities(
+        result.round1.histogram, round1_config.probabilities,
+        config.adaptive);
     if (config.auto_adjust_dropout &&
         !result.round1.intended_counts.empty()) {
       round2_probabilities = AdjustProbabilitiesForDropout(
@@ -208,30 +197,11 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   // excluded from the deterministic snapshot, so the attribute may vary
   // across machines without breaking golden comparisons).
   aggregate_span.AddString("kernel", kernels::ActiveKernel().name);
-  BitHistogram pooled = result.round1.histogram;
-  pooled.Merge(result.round2.histogram);
-  std::vector<int64_t> final_counts;
-  if (config.adaptive.caching) {
-    result.final_bit_means = pooled.UnbiasedMeans(rr);
-    final_counts = pooled.totals();
-  } else {
-    std::vector<bool> observed;
-    result.final_bit_means =
-        result.round2.histogram.UnbiasedMeans(rr, &observed);
-    final_counts = result.round2.histogram.totals();
-    const std::vector<double> fallback_means =
-        result.round1.histogram.UnbiasedMeans(rr);
-    for (size_t j = 0; j < result.final_bit_means.size(); ++j) {
-      if (!observed[j]) {
-        result.final_bit_means[j] = fallback_means[j];
-        final_counts[j] = result.round1.histogram.totals()[j];
-      }
-    }
-  }
-  result.kept = ComputeSquashMask(result.final_bit_means, final_counts, rr,
-                                  config.adaptive.squash);
-  result.estimate =
-      codec.Decode(RecombineBitMeans(result.final_bit_means, result.kept));
+  AdaptiveEstimate final_estimate = FinishAdaptive(
+      result.round1.histogram, result.round2.histogram, config.adaptive);
+  result.final_bit_means = std::move(final_estimate.final_means);
+  result.kept = std::move(final_estimate.kept);
+  result.estimate = codec.Decode(final_estimate.estimate_codeword);
   return result;
 }
 

@@ -3,8 +3,12 @@
 // dropout, privacy metering, optional secure aggregation, optional dropout
 // auto-adjustment of sampling probabilities).
 //
-// This is the integration point a deployment would call; the functional
-// core in src/core/ is the same math over flat vectors.
+// This is the integration point a deployment would call. The server-side
+// estimator (round-2 learning and final aggregation) is core/adaptive's
+// LearnRound2Probabilities / FinishAdaptive, the same code
+// RunAdaptiveBitPushing runs over flat vectors; only the static-policy
+// fallback after round-1 loss, the dropout rebalance and the decode are
+// federated-only.
 
 #ifndef BITPUSH_FEDERATED_ROUND_H_
 #define BITPUSH_FEDERATED_ROUND_H_

@@ -6,10 +6,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "federated/wire.h"
 #include "obs/metrics.h"
+#include "persist/file_io.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -44,10 +44,6 @@ constexpr size_t kFrameCrcSize = 4;
 bool ValidRecordType(uint8_t type) {
   return type >= static_cast<uint8_t>(JournalRecordType::kQueryStarted) &&
          type <= static_cast<uint8_t>(JournalRecordType::kResilienceEvent);
-}
-
-std::string IoError(const std::string& action, const std::string& path) {
-  return action + " " + path + ": " + std::strerror(errno);
 }
 
 }  // namespace

@@ -1,9 +1,5 @@
 #include "persist/recovery.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -11,6 +7,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/file_io.h"
 #include "util/check.h"
 
 namespace bitpush {
@@ -391,37 +388,13 @@ bool DurableCampaignRunner::RewriteJournalFile(
   for (const JournalRecord& record : records) {
     AppendJournalFrame(record.type, record.seq, record.payload, &bytes);
   }
-  // Temp sibling + fsync + rename, the WriteSnapshotFile pattern: the old
-  // journal stays durable and intact until the rewritten bytes are. An
-  // in-place truncate would destroy validated records before their
-  // replacements reached disk, so a crash inside this window could lose
-  // journaled meter charges.
-  const std::string temp_path = journal_path_ + ".tmp";
-  std::FILE* file = std::fopen(temp_path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = "rewrite journal " + temp_path + ": " + std::strerror(errno);
-    return false;
-  }
-  // An empty record set is legal (a journal rewritten down to nothing) and
-  // an empty vector's data() may be null, which fwrite declares nonnull.
-  const bool wrote =
-      bytes.empty() ||
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  const bool flushed = wrote && std::fflush(file) == 0;
-  const bool synced = flushed && (!options_.fsync || fsync(fileno(file)) == 0);
-  std::fclose(file);
-  if (!synced) {
-    *error = "rewrite journal " + temp_path + ": " + std::strerror(errno);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (std::rename(temp_path.c_str(), journal_path_.c_str()) != 0) {
-    *error = "rename journal " + journal_path_ + ": " + std::strerror(errno);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (options_.fsync && !SyncParentDir(journal_path_, error)) return false;
-  return true;
+  // Temp sibling + rename, as for snapshots: the old journal stays
+  // durable and intact until the rewritten bytes are. An in-place truncate
+  // would destroy validated records before their replacements reached
+  // disk, so a crash inside this window could lose journaled meter charges.
+  return ReplaceFileDurably(
+      journal_path_, bytes, options_.fsync,
+      {"rewrite journal", "rewrite journal", "rename journal"}, error);
 }
 
 std::vector<CampaignTickResult> DurableCampaignRunner::RunTick(

@@ -1,8 +1,5 @@
 #include "persist/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +8,7 @@
 #include "federated/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/file_io.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -19,10 +17,6 @@ namespace bitpush {
 namespace {
 
 constexpr uint8_t kSnapshotMagic[4] = {'B', 'P', 'S', 'N'};
-
-std::string IoError(const std::string& action, const std::string& path) {
-  return action + " " + path + ": " + std::strerror(errno);
-}
 
 void EncodeBody(const CoordinatorSnapshot& snapshot,
                 std::vector<uint8_t>* out) {
@@ -195,48 +189,12 @@ bool WriteSnapshotFile(const std::string& path,
   size_bytes->Set(static_cast<double>(encoded.size()));
   span.AddNumeric("bytes", static_cast<double>(encoded.size()));
 
-  const std::string temp_path = path + ".tmp";
-  std::FILE* file = std::fopen(temp_path.c_str(), "wb");
-  if (file == nullptr) {
-    *error = IoError("open snapshot temp", temp_path);
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(encoded.data(), 1, encoded.size(), file) == encoded.size();
-  const bool flushed = wrote && std::fflush(file) == 0;
-  const bool synced = flushed && fsync(fileno(file)) == 0;
-  std::fclose(file);
-  if (!synced) {
-    *error = IoError("write snapshot temp", temp_path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    *error = IoError("rename snapshot", path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  // The rename is only durable once the directory entry is; without this a
-  // power loss could resurrect the old snapshot after the journal had
-  // already been truncated against the new one.
-  return SyncParentDir(path, error);
-}
-
-bool SyncParentDir(const std::string& path, std::string* error) {
-  BITPUSH_CHECK(error != nullptr);
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                          : slash == 0              ? std::string("/")
-                                                    : path.substr(0, slash);
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    *error = IoError("open state dir", dir);
-    return false;
-  }
-  const bool synced = fsync(fd) == 0;
-  if (!synced) *error = IoError("fsync state dir", dir);
-  close(fd);
-  return synced;
+  // The rename is only durable once the directory entry is; without the
+  // directory fsync a power loss could resurrect the old snapshot after
+  // the journal had already been truncated against the new one.
+  return ReplaceFileDurably(
+      path, encoded, /*sync=*/true,
+      {"open snapshot temp", "write snapshot temp", "rename snapshot"}, error);
 }
 
 bool LoadSnapshotFile(const std::string& path, CoordinatorSnapshot* out,

@@ -83,11 +83,6 @@ bool WriteSnapshotFile(const std::string& path,
                        const CoordinatorSnapshot& snapshot,
                        std::string* error);
 
-// Fsyncs the directory containing `path`, making a preceding rename or
-// file creation inside it durable across power loss. Returns false with
-// `*error` set on failure.
-bool SyncParentDir(const std::string& path, std::string* error);
-
 // Loads and decodes `path`. A missing file is success with `*found` set to
 // false (fresh state directory). Corruption is an error — a coordinator
 // must not silently start from scratch when its ledger exists but is

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -132,6 +133,29 @@ struct UnbiasednessCase {
   int bits_per_client;
 };
 
+// gtest prints a parameter that has no PrintTo overload as its raw bytes,
+// and gtest_discover_tests puts that print into each case's ctest name, so
+// the low byte of `label`'s address is part of the name. A string literal
+// lands wherever the link puts it, and the length of the checkout path (the
+// __FILE__ strings of earlier objects) moves it, so the names changed from
+// one checkout to the next. The labels therefore live in one 256-byte
+// aligned block; `lead` keeps each case at the offset its name was first
+// registered with.
+struct alignas(256) CaseLabels {
+  char lead[16];
+  char uniform_central[16];
+  char weighted_half[14];
+  char weighted_one[13];
+  char local_randomness[17];
+  char with_dp[8];
+  char bsend_4[8];
+};
+constexpr CaseLabels kCaseLabels = {
+    {},         "uniform_central", "weighted_half", "weighted_one",
+    "local_randomness", "with_dp", "bsend_4"};
+static_assert(offsetof(CaseLabels, with_dp) == 0x4C);
+static_assert(offsetof(CaseLabels, bsend_4) == 0x54);
+
 class BitPushingUnbiasednessTest
     : public ::testing::TestWithParam<UnbiasednessCase> {};
 
@@ -170,12 +194,12 @@ TEST_P(BitPushingUnbiasednessTest, EstimatorIsUnbiased) {
 INSTANTIATE_TEST_SUITE_P(
     Allocations, BitPushingUnbiasednessTest,
     ::testing::Values(
-        UnbiasednessCase{"uniform_central", 0.0, 0.0, true, 1},
-        UnbiasednessCase{"weighted_half", 0.5, 0.0, true, 1},
-        UnbiasednessCase{"weighted_one", 1.0, 0.0, true, 1},
-        UnbiasednessCase{"local_randomness", 0.5, 0.0, false, 1},
-        UnbiasednessCase{"with_dp", 0.5, 1.0, true, 1},
-        UnbiasednessCase{"bsend_4", 0.5, 0.0, true, 4}),
+        UnbiasednessCase{kCaseLabels.uniform_central, 0.0, 0.0, true, 1},
+        UnbiasednessCase{kCaseLabels.weighted_half, 0.5, 0.0, true, 1},
+        UnbiasednessCase{kCaseLabels.weighted_one, 1.0, 0.0, true, 1},
+        UnbiasednessCase{kCaseLabels.local_randomness, 0.5, 0.0, false, 1},
+        UnbiasednessCase{kCaseLabels.with_dp, 0.5, 1.0, true, 1},
+        UnbiasednessCase{kCaseLabels.bsend_4, 0.5, 0.0, true, 4}),
     [](const ::testing::TestParamInfo<UnbiasednessCase>& info) {
       return info.param.label;
     });

@@ -4,6 +4,8 @@
 
 #include <chrono>
 
+#include "core/fix_guard.h"
+
 namespace fixture {
 
 double SloppyWallSeconds() {

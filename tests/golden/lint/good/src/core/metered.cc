@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/clean.h"
 #include "core/privacy_meter.h"
 #include "federated/report.h"
 #include "federated/wire.h"

@@ -7,7 +7,9 @@
 //   * resilience machinery armed vs disabled on fault-free plans,
 //   * secure aggregation vs plaintext aggregation,
 //   * scalar kernel forced vs dispatched SIMD kernel (src/kernels/),
-//   * sharded vs single-coordinator execution (src/federated/shard/).
+//   * sharded vs single-coordinator execution (src/federated/shard/),
+//   * the federated query vs core Algorithm 2 replayed on the query's own
+//     random streams (core/adaptive's shared estimator).
 //
 // Each case embeds every seed it uses, so a printed BITPROP_SEED replays
 // the whole differential run, including the crash point.
@@ -26,12 +28,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive.h"
+#include "core/bit_probabilities.h"
 #include "core/bit_pushing.h"
 #include "core/fixed_point.h"
 #include "core/privacy_meter.h"
 #include "federated/campaign.h"
 #include "kernels/kernels.h"
 #include "federated/client.h"
+#include "federated/cohort.h"
 #include "federated/report.h"
 #include "federated/round.h"
 #include "federated/shard/merge.h"
@@ -523,6 +528,235 @@ TEST(PropDifferentialTest, ShardedAndSingleCoordinatorAgreeBitForBit) {
           }
           if (sharded_obs != reference_obs) {
             return label + "deterministic metric snapshots differ";
+          }
+        }
+        return std::nullopt;
+      },
+      options);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: federated query vs core Algorithm 2 on the same random streams.
+//
+// With no faults, no resilience, no dropout, single-value clients and no
+// meter, RunFederatedMeanQuery is Algorithm 2 over its cohort: the test
+// replays the query's forks (cohort, round 1, round 2), runs
+// RunBasicBitPushing per round on the cohort's codewords with a copy of
+// that round's stream, and feeds the tallies to the shared estimator. At
+// epsilon > 0 the federated clients flip with keyed coins, so only the
+// round-1 assignment (the per-bit totals) is comparable.
+
+struct Algorithm2Case {
+  uint64_t data_seed = 0;
+  uint64_t protocol_seed = 0;
+  int64_t clients = 2;
+  int64_t max_cohort = 0;  // 0 = every client
+  int64_t bits = 4;
+  int64_t value_bits = 4;  // values are uniform below 2^value_bits
+  double gamma = 0.5;
+  double alpha = 0.5;
+  double delta = 1.0 / 3.0;
+  double epsilon = 0.0;  // 0 = no DP noise
+  bool central = true;
+  bool caching = true;
+  double squash = 0.0;  // absolute squash threshold; 0 = squashing off
+};
+
+Domain<Algorithm2Case> Algorithm2Domain() {
+  Domain<Algorithm2Case> domain;
+  domain.generate = [](Rng& rng) {
+    Algorithm2Case c;
+    c.data_seed = rng.NextUint64();
+    c.protocol_seed = rng.NextUint64();
+    c.clients = 2 + static_cast<int64_t>(rng.NextBelow(299));
+    c.max_cohort =
+        rng.NextBernoulli(0.5)
+            ? 0
+            : 2 + static_cast<int64_t>(rng.NextBelow(
+                      static_cast<uint64_t>(c.clients) - 1));
+    c.bits = 1 + static_cast<int64_t>(rng.NextBelow(12));
+    c.value_bits =
+        1 + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(c.bits)));
+    c.gamma = 1.5 * rng.NextDouble();
+    c.alpha = 0.1 + 0.9 * rng.NextDouble();
+    c.delta = 0.05 + 0.9 * rng.NextDouble();
+    c.epsilon = rng.NextBernoulli(0.5) ? 0.0 : 0.5 + 3.5 * rng.NextDouble();
+    c.central = rng.NextBernoulli(0.5);
+    c.caching = rng.NextBernoulli(0.5);
+    c.squash = rng.NextBernoulli(0.5) ? 0.0 : 0.2 * rng.NextDouble();
+    return c;
+  };
+  domain.shrink = [](const Algorithm2Case& c) {
+    std::vector<Algorithm2Case> out;
+    const auto push = [&](auto&& edit) {
+      Algorithm2Case smaller = c;
+      edit(smaller);
+      out.push_back(smaller);
+    };
+    if (c.epsilon != 0.0) push([](Algorithm2Case& s) { s.epsilon = 0.0; });
+    if (c.squash != 0.0) push([](Algorithm2Case& s) { s.squash = 0.0; });
+    if (!c.central) push([](Algorithm2Case& s) { s.central = true; });
+    if (c.max_cohort != 0) push([](Algorithm2Case& s) { s.max_cohort = 0; });
+    if (c.clients > 2) {
+      push([](Algorithm2Case& s) {
+        s.clients /= 2;
+        if (s.max_cohort > s.clients) s.max_cohort = s.clients;
+      });
+    }
+    if (c.bits > c.value_bits) {
+      push([](Algorithm2Case& s) { s.bits = s.value_bits; });
+    }
+    return out;
+  };
+  domain.describe = [](const Algorithm2Case& c) {
+    std::ostringstream out;
+    out.precision(17);
+    out << "{data_seed=" << c.data_seed
+        << " protocol_seed=" << c.protocol_seed << " clients=" << c.clients
+        << " max_cohort=" << c.max_cohort << " bits=" << c.bits
+        << " value_bits=" << c.value_bits << " gamma=" << c.gamma
+        << " alpha=" << c.alpha << " delta=" << c.delta
+        << " epsilon=" << c.epsilon << " central=" << c.central
+        << " caching=" << c.caching << " squash=" << c.squash << "}";
+    return out.str();
+  };
+  return domain;
+}
+
+std::optional<std::string> CompareHistograms(const BitHistogram& core,
+                                             const BitHistogram& federated,
+                                             const std::string& round) {
+  if (core.totals() != federated.totals()) {
+    return round + ": per-bit totals differ";
+  }
+  if (core.one_counts() != federated.one_counts()) {
+    return round + ": per-bit one counts differ";
+  }
+  return std::nullopt;
+}
+
+TEST(PropDifferentialTest, CoreAndFederatedAlgorithm2AgreeBitForBit) {
+  CheckOptions options;
+  options.iterations = 300;
+  CheckProperty<Algorithm2Case>(
+      "a fault-free federated query equals core Algorithm 2 replayed on its "
+      "cohort and round streams",
+      Algorithm2Domain(),
+      [](const Algorithm2Case& c) -> std::optional<std::string> {
+        Rng data_rng(c.data_seed);
+        std::vector<double> values(static_cast<size_t>(c.clients));
+        for (double& v : values) {
+          v = static_cast<double>(
+              data_rng.NextBelow(uint64_t{1} << c.value_bits));
+        }
+        const std::vector<Client> clients =
+            MakePopulation(values, ClientConfig{});
+        const FixedPointCodec codec =
+            FixedPointCodec::Integer(static_cast<int>(c.bits));
+
+        FederatedQueryConfig config;
+        config.adaptive.bits = static_cast<int>(c.bits);
+        config.adaptive.gamma = c.gamma;
+        config.adaptive.alpha = c.alpha;
+        config.adaptive.delta = c.delta;
+        config.adaptive.caching = c.caching;
+        config.adaptive.epsilon = c.epsilon;
+        config.adaptive.central_randomness = c.central;
+        config.adaptive.squash = c.squash > 0.0
+                                     ? SquashPolicy::Absolute(c.squash)
+                                     : SquashPolicy::Off();
+        config.cohort.max_cohort_size = c.max_cohort;
+        Rng rng(c.protocol_seed);
+        const FederatedQueryResult federated =
+            RunFederatedMeanQuery(clients, codec, config, nullptr, rng);
+        if (federated.aborted) return std::string("federated query aborted");
+
+        // The query's forks, in its order: cohort, round 1, round 2.
+        Rng replay(c.protocol_seed);
+        Rng cohort_rng = replay.Fork();
+        const Rng round1_rng = replay.Fork();
+        const Rng round2_rng = replay.Fork();
+        bool below_minimum = false;
+        std::vector<int64_t> leftover;
+        const std::vector<int64_t> cohort =
+            SelectCohort(clients, nullptr, config.cohort, cohort_rng,
+                         &below_minimum, &leftover);
+        const int64_t n1 = Round1CohortSize(
+            static_cast<int64_t>(cohort.size()), c.delta);
+        std::vector<uint64_t> codewords1;
+        std::vector<uint64_t> codewords2;
+        for (size_t i = 0; i < cohort.size(); ++i) {
+          const double value =
+              clients[static_cast<size_t>(cohort[i])].values().front();
+          (static_cast<int64_t>(i) < n1 ? codewords1 : codewords2)
+              .push_back(codec.Encode(value));
+        }
+
+        BitPushingConfig round_config{
+            .probabilities = GeometricProbabilities(config.adaptive.bits,
+                                                    c.gamma),
+            .epsilon = c.epsilon,
+            .bits_per_client = 1,
+            .central_randomness = c.central};
+        Rng round1_copy = round1_rng;
+        const BitPushingResult core1 =
+            RunBasicBitPushing(codewords1, round_config, round1_copy);
+        if (c.epsilon > 0.0) {
+          if (core1.histogram.totals() != federated.round1.histogram.totals()) {
+            return std::string("round 1: per-bit totals differ");
+          }
+          return std::nullopt;
+        }
+        if (auto diff = CompareHistograms(core1.histogram,
+                                          federated.round1.histogram,
+                                          "round 1")) {
+          return diff;
+        }
+
+        round_config.probabilities = LearnRound2Probabilities(
+            core1.histogram, round_config.probabilities, config.adaptive);
+        if (round_config.probabilities != federated.round2_probabilities) {
+          return std::string("round-2 probabilities differ");
+        }
+        Rng round2_copy = round2_rng;
+        const BitPushingResult core2 =
+            RunBasicBitPushing(codewords2, round_config, round2_copy);
+        if (auto diff = CompareHistograms(core2.histogram,
+                                          federated.round2.histogram,
+                                          "round 2")) {
+          return diff;
+        }
+
+        const AdaptiveEstimate core = FinishAdaptive(
+            core1.histogram, core2.histogram, config.adaptive);
+        if (core.final_means != federated.final_bit_means) {
+          return std::string("final bit means differ");
+        }
+        if (core.kept != federated.kept) {
+          return std::string("squash masks differ");
+        }
+        if (codec.Decode(core.estimate_codeword) != federated.estimate) {
+          std::ostringstream out;
+          out.precision(17);
+          out << "estimates differ (" << codec.Decode(core.estimate_codeword)
+              << " vs " << federated.estimate << ")";
+          return out.str();
+        }
+
+        // The caching rule itself, against the per-round means: pooled
+        // with caching, else round 2's with round 1's for bits round 2 did
+        // not observe.
+        BitHistogram pooled = core1.histogram;
+        pooled.Merge(core2.histogram);
+        const std::vector<double> pooled_means =
+            pooled.UnbiasedMeans(RandomizedResponse::FromEpsilon(0.0));
+        for (size_t j = 0; j < pooled_means.size(); ++j) {
+          const double want = c.caching            ? pooled_means[j]
+                              : core2.observed[j] ? core2.bit_means[j]
+                                                  : core1.bit_means[j];
+          if (federated.final_bit_means[j] != want) {
+            return "final mean of bit " + std::to_string(j) +
+                   " breaks the caching rule";
           }
         }
         return std::nullopt;

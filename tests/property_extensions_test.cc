@@ -1,7 +1,6 @@
-// Property tests for the extension modules: derived aggregates, weighted
-// means, Shamir sharing, the wire format, and memoization. Universal
-// invariants (Shamir round-trips, wire round-trips) run on bitprop
-// generators with shrinking; the statistical suites that need a fixed
+// Property tests for the extension modules: derived aggregates, the wire
+// format, and memoization. Universal invariants (wire round-trips) run on
+// bitprop generators with shrinking; the statistical suites that need a fixed
 // Monte-Carlo grid stay parameterized gtest.
 
 // bitpush-lint: allow(privacy-metering): property sweeps build synthetic reports; no client value is behind them
@@ -17,13 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "core/bit_probabilities.h"
+#include "core/bit_pushing.h"
 #include "core/histogram_estimation.h"
 #include "core/moments.h"
 #include "core/proportion.h"
 #include "core/range_tree.h"
-#include "core/weighted.h"
 #include "data/synthetic.h"
-#include "federated/shamir.h"
 #include "federated/wire.h"
 #include "ldp/memoization.h"
 #include "prop/bitprop.h"
@@ -103,8 +101,8 @@ INSTANTIATE_TEST_SUITE_P(Depths, RangeTreeLevelsTest,
 // Moments: consistency between derived aggregates.
 
 TEST(MomentConsistencyProperty, FirstMomentMatchesProportionWeighting) {
-  // E[X], the weighted mean with unit weights, and the moment-1 estimator
-  // must agree on the same data within noise.
+  // E[X] via plain bit-pushing and the moment-1 estimator must agree on
+  // the same data within noise.
   Rng rng(400);
   const Dataset data = UniformData(30000, 0.0, 120.0, rng);
   const FixedPointCodec codec = FixedPointCodec::Integer(7);
@@ -112,15 +110,12 @@ TEST(MomentConsistencyProperty, FirstMomentMatchesProportionWeighting) {
   moment_config.protocol.bits = 7;
   const double via_moment = EstimateRawMoment(data.values(), codec, 1,
                                               moment_config, rng);
-  std::vector<WeightedValue> weighted;
-  for (const double v : data.values()) {
-    weighted.push_back(WeightedValue{v, 1.0});
-  }
-  WeightedMeanConfig weighted_config;
-  weighted_config.probabilities = GeometricProbabilities(7, 0.5);
-  const double via_weighted =
-      EstimateWeightedMean(weighted, codec, weighted_config, rng).estimate;
-  EXPECT_NEAR(via_moment, via_weighted, 0.1 * data.truth().mean);
+  BitPushingConfig plain_config;
+  plain_config.probabilities = GeometricProbabilities(7, 0.5);
+  const double via_bit_pushing = codec.Decode(
+      RunBasicBitPushing(codec.EncodeAll(data.values()), plain_config, rng)
+          .estimate_codeword);
+  EXPECT_NEAR(via_moment, via_bit_pushing, 0.1 * data.truth().mean);
 }
 
 TEST(MomentConsistencyProperty, JensenOrderingHolds) {
@@ -142,82 +137,6 @@ TEST(MomentConsistencyProperty, JensenOrderingHolds) {
     EXPECT_LT(geometric, mean * 1.05);
     EXPECT_GT(second, mean * mean * 0.9);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Shamir: share/reconstruct round-trips across thresholds and secrets.
-
-struct ShamirPropCase {
-  uint64_t secret = 0;       // < kShamirPrime
-  int threshold = 1;         // 1..13
-  int extra_shares = 0;      // num_shares = threshold + extra
-  uint64_t session_seed = 0; // drives sharing and subset selection
-};
-
-Domain<ShamirPropCase> ShamirDomain() {
-  Domain<ShamirPropCase> domain;
-  domain.generate = [](Rng& rng) {
-    ShamirPropCase c;
-    c.secret = rng.NextBelow(kShamirPrime);
-    c.threshold = 1 + static_cast<int>(rng.NextBelow(13));
-    c.extra_shares = static_cast<int>(rng.NextBelow(5));
-    c.session_seed = rng.NextUint64();
-    return c;
-  };
-  domain.shrink = [](const ShamirPropCase& c) {
-    std::vector<ShamirPropCase> out;
-    if (c.secret > 0) {
-      ShamirPropCase smaller = c;
-      smaller.secret /= 2;
-      out.push_back(smaller);
-    }
-    if (c.threshold > 1) {
-      ShamirPropCase smaller = c;
-      smaller.threshold = 1;
-      out.push_back(smaller);
-    }
-    if (c.extra_shares > 0) {
-      ShamirPropCase smaller = c;
-      smaller.extra_shares = 0;
-      out.push_back(smaller);
-    }
-    return out;
-  };
-  domain.describe = [](const ShamirPropCase& c) {
-    std::ostringstream out;
-    out << "{secret=" << c.secret << " threshold=" << c.threshold
-        << " extra_shares=" << c.extra_shares << " session_seed=0x"
-        << std::hex << c.session_seed << "}";
-    return out.str();
-  };
-  return domain;
-}
-
-TEST(ShamirRoundTripProperty, AnyThresholdSubsetReconstructsTheSecret) {
-  CheckProperty<ShamirPropCase>(
-      "a random threshold-sized subset of shares reconstructs the secret",
-      ShamirDomain(),
-      [](const ShamirPropCase& c) -> std::optional<std::string> {
-        Rng rng(c.session_seed);
-        const int num_shares = c.threshold + c.extra_shares;
-        const std::vector<ShamirShare> shares =
-            ShamirShareSecret(c.secret, c.threshold, num_shares, rng);
-        // Random subset of exactly `threshold` shares.
-        std::vector<ShamirShare> subset = shares;
-        for (size_t i = subset.size(); i > 1; --i) {
-          std::swap(subset[i - 1], subset[rng.NextBelow(i)]);
-        }
-        subset.resize(static_cast<size_t>(c.threshold));
-        const uint64_t reconstructed =
-            ShamirReconstruct(subset, c.threshold);
-        if (reconstructed != c.secret) {
-          std::ostringstream out;
-          out << "reconstructed " << reconstructed << " != secret "
-              << c.secret;
-          return out.str();
-        }
-        return std::nullopt;
-      });
 }
 
 // ---------------------------------------------------------------------------

@@ -157,6 +157,14 @@ bool StartsWith(const std::string& s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
+bool ContainsAny(const std::string& text,
+                 std::initializer_list<std::string_view> literals) {
+  for (const std::string_view literal : literals) {
+    if (text.find(literal) != std::string::npos) return true;
+  }
+  return false;
+}
+
 bool LoadFile(const fs::path& abs, const std::string& rel,
               SourceFile* out, std::string* error) {
   std::ifstream in(abs, std::ios::binary);

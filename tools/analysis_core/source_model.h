@@ -20,6 +20,7 @@
 #define BITPUSH_TOOLS_ANALYSIS_CORE_SOURCE_MODEL_H_
 
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +46,12 @@ void LexFile(const std::vector<std::string>& raw,
 
 std::string Trim(const std::string& s);
 bool StartsWith(const std::string& s, std::string_view prefix);
+
+// Literal prefilter: true when `text` holds any of `literals`. A regex
+// guarded by literals that every one of its matches contains can be
+// skipped on text without them, leaving the result unchanged.
+bool ContainsAny(const std::string& text,
+                 std::initializer_list<std::string_view> literals);
 
 // Reads and lexes one file. Returns false (and sets *error) on I/O failure.
 bool LoadFile(const std::filesystem::path& abs, const std::string& rel,

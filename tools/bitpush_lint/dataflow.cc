@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <initializer_list>
 #include <map>
 #include <regex>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,6 +14,7 @@
 namespace bitpush::lint {
 namespace {
 
+using analysis::ContainsAny;
 using analysis::FunctionDef;
 using analysis::Index;
 using analysis::SourceFile;
@@ -118,18 +117,6 @@ std::string TidyToken(std::string token) {
     token.pop_back();
   }
   return token;
-}
-
-// Literal prefilter: true when `text` holds any of `literals`. Each regex
-// below is guarded by literals that every one of its matches contains, so
-// a statement without them skips the regex search and the classification
-// is unchanged.
-bool ContainsAny(const std::string& text,
-                 std::initializer_list<std::string_view> literals) {
-  for (const std::string_view literal : literals) {
-    if (text.find(literal) != std::string::npos) return true;
-  }
-  return false;
 }
 
 std::string FirstMatch(const std::string& text, const std::regex& re) {

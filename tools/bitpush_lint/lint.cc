@@ -26,6 +26,7 @@ namespace fs = std::filesystem;
 // The token-level checks operate on the code/comment channels of the
 // shared source model (tools/analysis_core/); the dataflow families in
 // dataflow.cc walk the declaration index built over the same files.
+using analysis::ContainsAny;
 using analysis::SourceFile;
 using analysis::StartsWith;
 using analysis::Trim;
@@ -177,6 +178,11 @@ void CheckDeterminism(const SourceFile& file, std::vector<Finding>* findings) {
     return rules;
   }();
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
+    // Every rule's matches contain one of these literals.
+    if (!ContainsAny(file.code_lines[i], {"rand", "time", "_clock", "mt19937",
+                                          "ranlux", "knuth_b"})) {
+      continue;
+    }
     for (const auto& [re, message] : *kRules) {
       if (std::regex_search(file.code_lines[i], re)) {
         findings->push_back({file.rel_path, static_cast<int>(i + 1),
@@ -216,14 +222,20 @@ void CheckPrivacyMetering(const SourceFile& file,
   bool shard_local = false;
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
     const std::string& code = file.code_lines[i];
-    if (first_line == 0 && std::regex_search(code, kDisclosureRe)) {
+    if (first_line == 0 && ContainsAny(code, {"BitReport"}) &&
+        std::regex_search(code, kDisclosureRe)) {
       first_line = static_cast<int>(i + 1);
     }
-    if (!charges && std::regex_search(code, kChargePathRe)) charges = true;
-    if (!shard_local && std::regex_search(code, kLocalMeterRe)) {
+    if (!charges && ContainsAny(code, {"TryChargeBit", "PrivacyMeter"}) &&
+        std::regex_search(code, kChargePathRe)) {
+      charges = true;
+    }
+    if (!shard_local && ContainsAny(code, {"local_meter"}) &&
+        std::regex_search(code, kLocalMeterRe)) {
       shard_local = true;
     }
-    if (charge_line == 0 && std::regex_search(code, kChargeCallRe)) {
+    if (charge_line == 0 && ContainsAny(code, {"TryChargeBit"}) &&
+        std::regex_search(code, kChargeCallRe)) {
       charge_line = static_cast<int>(i + 1);
     }
   }
@@ -317,38 +329,47 @@ std::string ExpectedGuard(const std::string& rel_path) {
 
 // The std vocabulary types a header must include directly rather than
 // lean on transitive includes for (a pragmatic
-// include-what-you-use subset; extend as the tree grows).
-const std::vector<std::pair<std::regex, std::string>>& SelfContainmentMap() {
+// include-what-you-use subset; extend as the tree grows). Each rule
+// carries a literal that every one of its matches contains.
+struct SelfContainmentRule {
+  std::regex re;
+  std::string header;
+  std::string literal;
+};
+
+const std::vector<SelfContainmentRule>& SelfContainmentMap() {
   static const auto* map = [] {
-    auto* m = new std::vector<std::pair<std::regex, std::string>>;
-    const std::pair<const char*, const char*> raw[] = {
-        {R"(\bstd\s*::\s*string\b)", "string"},
-        {R"(\bstd\s*::\s*string_view\b)", "string_view"},
-        {R"(\bstd\s*::\s*vector\b)", "vector"},
-        {R"(\bstd\s*::\s*optional\b)", "optional"},
-        {R"(\bstd\s*::\s*unordered_map\b)", "unordered_map"},
-        {R"(\bstd\s*::\s*unordered_set\b)", "unordered_set"},
-        {R"(\bstd\s*::\s*map\b|\bstd\s*::\s*multimap\b)", "map"},
-        {R"(\bstd\s*::\s*function\b)", "functional"},
-        {R"(\bstd\s*::\s*atomic\b)", "atomic"},
-        {R"(\bstd\s*::\s*(mutex|lock_guard|unique_lock|scoped_lock)\b)",
-         "mutex"},
-        {R"(\bstd\s*::\s*(unique_ptr|shared_ptr|weak_ptr)\b)", "memory"},
-        {R"(\bstd\s*::\s*(pair|tuple)\b)", ""},  // pair -> utility, tuple -> tuple
-        {R"(\b(u?int(8|16|32|64)_t)\b)", "cstdint"},
-        {R"(\bstd\s*::\s*FILE\b)", "cstdio"},
-        {R"(\bstd\s*::\s*thread\b)", "thread"},
-        {R"(\bstd\s*::\s*array\b)", "array"},
-        {R"(\bstd\s*::\s*deque\b)", "deque"},
-        {R"(\bstd\s*::\s*variant\b)", "variant"},
-        {R"(\bstd\s*::\s*filesystem\b)", "filesystem"},
+    auto* m = new std::vector<SelfContainmentRule>;
+    const char* const raw[][3] = {
+        {R"(\bstd\s*::\s*string\b)", "string", "string"},
+        {R"(\bstd\s*::\s*string_view\b)", "string_view", "string_view"},
+        {R"(\bstd\s*::\s*vector\b)", "vector", "vector"},
+        {R"(\bstd\s*::\s*optional\b)", "optional", "optional"},
+        {R"(\bstd\s*::\s*unordered_map\b)", "unordered_map",
+         "unordered_map"},
+        {R"(\bstd\s*::\s*unordered_set\b)", "unordered_set",
+         "unordered_set"},
+        {R"(\bstd\s*::\s*map\b|\bstd\s*::\s*multimap\b)", "map", "map"},
+        {R"(\bstd\s*::\s*function\b)", "functional", "function"},
+        {R"(\bstd\s*::\s*atomic\b)", "atomic", "atomic"},
+        {R"(\bstd\s*::\s*mutex\b)", "mutex", "mutex"},
+        {R"(\bstd\s*::\s*(lock_guard|unique_lock|scoped_lock)\b)", "mutex",
+         "_lock"},
+        {R"(\bstd\s*::\s*(unique_ptr|shared_ptr|weak_ptr)\b)", "memory",
+         "_ptr"},
+        {R"(\b(u?int(8|16|32|64)_t)\b)", "cstdint", "int"},
+        {R"(\bstd\s*::\s*FILE\b)", "cstdio", "FILE"},
+        {R"(\bstd\s*::\s*thread\b)", "thread", "thread"},
+        {R"(\bstd\s*::\s*array\b)", "array", "array"},
+        {R"(\bstd\s*::\s*deque\b)", "deque", "deque"},
+        {R"(\bstd\s*::\s*variant\b)", "variant", "variant"},
+        {R"(\bstd\s*::\s*filesystem\b)", "filesystem", "filesystem"},
+        {R"(\bstd\s*::\s*pair\b)", "utility", "pair"},
+        {R"(\bstd\s*::\s*tuple\b)", "tuple", "tuple"},
     };
-    for (const auto& [pattern, header] : raw) {
-      if (header[0] == '\0') continue;  // handled specially below
-      m->emplace_back(std::regex(pattern), header);
+    for (const auto& [pattern, header, literal] : raw) {
+      m->push_back({std::regex(pattern), header, literal});
     }
-    m->emplace_back(std::regex(R"(\bstd\s*::\s*pair\b)"), "utility");
-    m->emplace_back(std::regex(R"(\bstd\s*::\s*tuple\b)"), "tuple");
     return m;
   }();
   return *map;
@@ -405,7 +426,8 @@ void CheckHeaderHygiene(const SourceFile& file,
   if (!StartsWith(file.rel_path, "src/kernels/")) {
     for (size_t i = 0; i < file.code_lines.size(); ++i) {
       std::smatch match;
-      if (std::regex_search(file.code_lines[i], match,
+      if (ContainsAny(file.code_lines[i], {"intrin.h", "arm_"}) &&
+          std::regex_search(file.code_lines[i], match,
                             kIntrinsicsIncludeRe)) {
         findings->push_back(
             {file.rel_path, static_cast<int>(i + 1), Check::kHeaderHygiene,
@@ -440,7 +462,8 @@ void CheckHeaderHygiene(const SourceFile& file,
 
   static const std::regex kUsingNamespaceRe(R"(\busing\s+namespace\b)");
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
-    if (std::regex_search(file.code_lines[i], kUsingNamespaceRe)) {
+    if (ContainsAny(file.code_lines[i], {"namespace"}) &&
+        std::regex_search(file.code_lines[i], kUsingNamespaceRe)) {
       findings->push_back(
           {file.rel_path, static_cast<int>(i + 1), Check::kHeaderHygiene,
            "`using namespace` in a header leaks into every includer"});
@@ -452,15 +475,17 @@ void CheckHeaderHygiene(const SourceFile& file,
   static const std::regex kIncludeRe(R"(^\s*#\s*include\s*[<"]([^>"]+)[>"])");
   for (const std::string& code : file.code_lines) {
     std::smatch match;
-    if (std::regex_search(code, match, kIncludeRe)) {
+    if (ContainsAny(code, {"include"}) &&
+        std::regex_search(code, match, kIncludeRe)) {
       included.insert(match[1].str());
     }
   }
   std::set<std::string> reported;
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
-    for (const auto& [re, header] : SelfContainmentMap()) {
+    for (const auto& [re, header, literal] : SelfContainmentMap()) {
       if (included.count(header) > 0 || reported.count(header) > 0) continue;
-      if (std::regex_search(file.code_lines[i], re)) {
+      if (ContainsAny(file.code_lines[i], {literal}) &&
+          std::regex_search(file.code_lines[i], re)) {
         reported.insert(header);
         findings->push_back(
             {file.rel_path, static_cast<int>(i + 1), Check::kHeaderHygiene,
@@ -469,6 +494,79 @@ void CheckHeaderHygiene(const SourceFile& file,
       }
     }
   }
+}
+
+// header-hygiene, cross-file: a src/ header that nothing includes outside
+// its own .cc and tests/ is a module no program calls — it still costs a
+// build, a suite and a doc row, and reproduces no claim. Includers are the
+// scanned src/, bench/ and tools/ files plus the programs under examples/
+// and perfbench/, which the other families do not scan and are read here
+// for their include lines only.
+
+// The path of a live quoted #include on this line, or "". The lexer blanks
+// string contents in the code channel, so the directive is recognized
+// there and the path read from the raw line.
+std::string QuotedInclude(const std::string& code, const std::string& raw) {
+  static const std::regex kDirectiveRe(R"re(^\s*#\s*include\s*")re");
+  static const std::regex kPathRe(R"re(^\s*#\s*include\s*"([^"]+)")re");
+  std::smatch match;
+  if (!ContainsAny(code, {"include"}) ||
+      !std::regex_search(code, kDirectiveRe) ||
+      !std::regex_search(raw, match, kPathRe)) {
+    return "";
+  }
+  return match[1].str();
+}
+
+bool CheckCallerlessHeaders(const std::string& root,
+                            const std::vector<SourceFile>& files,
+                            std::vector<Finding>* findings,
+                            std::string* io_error) {
+  std::vector<SourceFile> programs;
+  for (const char* top : {"examples", "perfbench"}) {
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(fs::path(root) / top, ec), end;
+         it != end; it.increment(ec)) {
+      if (ec) break;
+      const std::string ext = it->path().extension().string();
+      if (!it->is_regular_file() || (ext != ".cc" && ext != ".h")) continue;
+      SourceFile program;
+      if (!analysis::LoadFile(
+              it->path(),
+              fs::relative(it->path(), fs::path(root)).generic_string(),
+              &program, io_error)) {
+        return false;
+      }
+      programs.push_back(std::move(program));
+    }
+  }
+
+  // Header paths as spelled in includes ("core/adaptive.h").
+  std::set<std::string> called;
+  const auto collect = [&](const SourceFile& file) {
+    if (StartsWith(file.rel_path, "tests/")) return;
+    for (size_t i = 0; i < file.code_lines.size(); ++i) {
+      const std::string path =
+          QuotedInclude(file.code_lines[i], file.raw_lines[i]);
+      if (path.size() < 2) continue;
+      const std::string own_cc =
+          "src/" + path.substr(0, path.size() - 2) + ".cc";
+      if (file.rel_path != own_cc) called.insert(path);
+    }
+  };
+  for (const SourceFile& file : files) collect(file);
+  for (const SourceFile& program : programs) collect(program);
+
+  for (const SourceFile& file : files) {
+    if (!file.is_header || !StartsWith(file.rel_path, "src/")) continue;
+    if (called.count(file.rel_path.substr(4)) > 0) continue;
+    findings->push_back(
+        {file.rel_path, 1, Check::kHeaderHygiene,
+         "no file outside its own .cc and tests/ includes this header "
+         "(src/, bench/, examples/, tools/, perfbench/ searched): a module "
+         "nothing calls should be deleted with its tests"});
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -603,10 +701,24 @@ void CheckWireExhaustiveness(const std::vector<SourceFile>& files,
     }
   }
 
+  // `\b<token>\b` over the concatenated code, by literal search: every
+  // token (Encode<Msg>, Type::kName, kName) starts and ends with an
+  // identifier character, so a word boundary is a non-identifier
+  // neighbour or the end of the text.
   const auto contains_token = [](const std::string& haystack,
                                  const std::string& token) {
-    const std::regex re("\\b" + token + "\\b");
-    return std::regex_search(haystack, re);
+    const auto is_word = [](char c) {
+      return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    for (size_t at = haystack.find(token); at != std::string::npos;
+         at = haystack.find(token, at + 1)) {
+      const size_t end = at + token.size();
+      if ((at == 0 || !is_word(haystack[at - 1])) &&
+          (end == haystack.size() || !is_word(haystack[end]))) {
+        return true;
+      }
+    }
+    return false;
   };
 
   std::set<std::string> encode_names;
@@ -818,6 +930,12 @@ Result RunLint(const std::string& root, const Options& options) {
     if (CheckEnabled(options, Check::kHeaderHygiene)) {
       CheckHeaderHygiene(file, &raw_findings);
     }
+  }
+  if (CheckEnabled(options, Check::kHeaderHygiene) &&
+      !CheckCallerlessHeaders(root, files, &raw_findings,
+                              &result.io_error_message)) {
+    result.io_error = true;
+    return result;
   }
   if (CheckEnabled(options, Check::kWireExhaustiveness)) {
     CheckWireExhaustiveness(files, &raw_findings);

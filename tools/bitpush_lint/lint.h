@@ -36,9 +36,12 @@
 //                       register Determinism::kStable instruments.
 //   header-hygiene      canonical include guards, no `using namespace`
 //                       in headers, direct includes for std vocabulary
-//                       types (self-containment), and SIMD intrinsics
+//                       types (self-containment), SIMD intrinsics
 //                       headers (<immintrin.h>, <arm_neon.h>, ...)
-//                       confined to src/kernels/.
+//                       confined to src/kernels/, and no src/ header
+//                       that nothing outside its own .cc and tests/
+//                       includes (src/, bench/, examples/, tools/,
+//                       perfbench/ searched).
 //   privacy-taint       (dataflow) every disclosed client bit must flow
 //                       through randomized-response perturbation before
 //                       reaching a wire / journal / obs sink. Sources are
