@@ -8,8 +8,8 @@
 //     attached) must cost less than 2% on the instrumented EncodeAll path;
 //   * kernel throughput guard — the dispatched batch path (kernel encode +
 //     popcount aggregation) must beat the seed's per-report scalar path by
-//     at least 10x on encode+aggregate (ROADMAP item 1), recorded in
-//     BENCH_kernel_throughput.json.
+//     at least 10x on encode+aggregate (ROADMAP item 1), recorded as
+//     JSON at $BITPUSH_KERNEL_BENCH_JSON when that is set.
 
 #include <algorithm>
 #include <chrono>
@@ -270,9 +270,9 @@ BENCHMARK(BM_KernelPerturbBatch)->Arg(65536);
 // each with the registry disabled and enabled, and checks the
 // enabled/disabled ratio per path. Min-of-trials per side plus retry
 // rounds keep scheduler noise from failing a healthy build; the threshold
-// can be loosened for slow CI machines via BITPUSH_OBS_OVERHEAD_MAX. Both
-// measurements land in BENCH_obs_overhead.json (path override:
-// BITPUSH_OBS_BENCH_JSON).
+// can be loosened for slow CI machines via BITPUSH_OBS_OVERHEAD_MAX. With
+// BITPUSH_OBS_BENCH_JSON set, both measurements are recorded as JSON at
+// that path.
 struct ObsGuardSample {
   const char* name = "";
   double ratio = 0.0;
@@ -355,30 +355,31 @@ int RunObsOverheadGuard() {
   const ObsGuardSample events =
       MeasureObsGuard("event_ring", threshold, event_workload);
 
-  const char* json_env = std::getenv("BITPUSH_OBS_BENCH_JSON");
-  const std::string json_path =
-      json_env != nullptr ? json_env : "BENCH_obs_overhead.json";
-  if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"threshold\": %.4f,\n"
-                 "  \"paths\": [\n",
-                 threshold);
-    const ObsGuardSample* samples[] = {&timer, &events};
-    for (size_t i = 0; i < 2; ++i) {
+  // Recorded only on request, so a run from the repository root leaves no
+  // file behind.
+  if (const char* json_path = std::getenv("BITPUSH_OBS_BENCH_JSON")) {
+    if (std::FILE* out = std::fopen(json_path, "w")) {
       std::fprintf(out,
-                   "    {\"name\": \"%s\", \"ratio\": %.4f, "
-                   "\"status\": \"%s\"}%s\n",
-                   samples[i]->name, samples[i]->ratio,
-                   samples[i]->pass ? "pass" : "fail", i == 0 ? "," : "");
+                   "{\n"
+                   "  \"threshold\": %.4f,\n"
+                   "  \"paths\": [\n",
+                   threshold);
+      const ObsGuardSample* samples[] = {&timer, &events};
+      for (size_t i = 0; i < 2; ++i) {
+        std::fprintf(out,
+                     "    {\"name\": \"%s\", \"ratio\": %.4f, "
+                     "\"status\": \"%s\"}%s\n",
+                     samples[i]->name, samples[i]->ratio,
+                     samples[i]->pass ? "pass" : "fail", i == 0 ? "," : "");
+      }
+      std::fprintf(out, "  ]\n}\n");
+      std::fclose(out);
+      std::printf("obs_overhead json written to %s\n", json_path);
+    } else {
+      std::fprintf(stderr, "obs_overhead_guard: cannot write %s\n",
+                   json_path);
+      return 1;
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("obs_overhead json written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "obs_overhead_guard: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
   }
 
   int status = 0;
@@ -418,8 +419,8 @@ int RunObsOverheadGuard() {
 // reported (DRAM-bound, typically a smaller margin) but not gated. The
 // threshold can be adjusted via BITPUSH_KERNEL_SPEEDUP_MIN; the guard is
 // skipped (exit 0) when no SIMD kernel is active, since the 10x target is
-// a claim about the dispatched path. Results land in
-// BENCH_kernel_throughput.json (path override: BITPUSH_KERNEL_BENCH_JSON).
+// a claim about the dispatched path. With BITPUSH_KERNEL_BENCH_JSON set,
+// the results are recorded as JSON at that path.
 struct KernelGuardSample {
   int64_t n = 0;
   double seed_seconds = 0.0;
@@ -487,9 +488,6 @@ int RunKernelThroughputGuard() {
   if (const char* env = std::getenv("BITPUSH_KERNEL_SPEEDUP_MIN")) {
     threshold = std::atof(env);
   }
-  const char* json_env = std::getenv("BITPUSH_KERNEL_BENCH_JSON");
-  const std::string json_path =
-      json_env != nullptr ? json_env : "BENCH_kernel_throughput.json";
 
   const bool gated = kernels::SimdActive();
   const KernelGuardSample gate = MeasureKernelGuard(kGateN);
@@ -508,35 +506,39 @@ int RunKernelThroughputGuard() {
   print_sample("gate", gate);
   print_sample("info", info);
 
-  if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"kernel\": \"%s\",\n"
-        "  \"bits\": 16,\n"
-        "  \"threshold\": %.2f,\n"
-        "  \"gate\": {\"n\": %lld, \"seed_ns_per_report\": %.3f,\n"
-        "           \"batch_ns_per_report\": %.3f, \"speedup\": %.2f,\n"
-        "           \"status\": \"%s\"},\n"
-        "  \"info\": [{\"n\": %lld, \"seed_ns_per_report\": %.3f,\n"
-        "            \"batch_ns_per_report\": %.3f, \"speedup\": %.2f}]\n"
-        "}\n",
-        kernels::ActiveKernel().name, threshold,
-        static_cast<long long>(gate.n),
-        1e9 * gate.seed_seconds / static_cast<double>(gate.n),
-        1e9 * gate.batch_seconds / static_cast<double>(gate.n),
-        gate.speedup,
-        !gated ? "skipped_no_simd" : (pass ? "pass" : "fail"),
-        static_cast<long long>(info.n),
-        1e9 * info.seed_seconds / static_cast<double>(info.n),
-        1e9 * info.batch_seconds / static_cast<double>(info.n),
-        info.speedup);
-    std::fclose(out);
-    std::printf("kernel_throughput json written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "kernel_throughput_guard: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
+  // Recorded only on request: a default path in the working directory
+  // would overwrite the committed copy when run from the repository root.
+  if (const char* json_path = std::getenv("BITPUSH_KERNEL_BENCH_JSON")) {
+    if (std::FILE* out = std::fopen(json_path, "w")) {
+      std::fprintf(
+          out,
+          "{\n"
+          "  \"kernel\": \"%s\",\n"
+          "  \"bits\": 16,\n"
+          "  \"threshold\": %.2f,\n"
+          "  \"gate\": {\"n\": %lld, \"seed_ns_per_report\": %.3f,\n"
+          "           \"batch_ns_per_report\": %.3f, \"speedup\": %.2f,\n"
+          "           \"status\": \"%s\"},\n"
+          "  \"info\": [{\"n\": %lld, \"seed_ns_per_report\": %.3f,\n"
+          "            \"batch_ns_per_report\": %.3f, \"speedup\": %.2f}]\n"
+          "}\n",
+          kernels::ActiveKernel().name, threshold,
+          static_cast<long long>(gate.n),
+          1e9 * gate.seed_seconds / static_cast<double>(gate.n),
+          1e9 * gate.batch_seconds / static_cast<double>(gate.n),
+          gate.speedup,
+          !gated ? "skipped_no_simd" : (pass ? "pass" : "fail"),
+          static_cast<long long>(info.n),
+          1e9 * info.seed_seconds / static_cast<double>(info.n),
+          1e9 * info.batch_seconds / static_cast<double>(info.n),
+          info.speedup);
+      std::fclose(out);
+      std::printf("kernel_throughput json written to %s\n", json_path);
+    } else {
+      std::fprintf(stderr, "kernel_throughput_guard: cannot write %s\n",
+                   json_path);
+      return 1;
+    }
   }
 
   if (!gated) {

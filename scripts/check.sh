@@ -170,11 +170,13 @@ for b in "$BUILD_DIR"/bench/*; do
     # guards run after the benchmarks and fail the stage if enabling
     # metrics costs >= 2% on the EncodeAll hot path, or if the columnar
     # kernel pipeline is not >= 10x the per-report scalar path
-    # (BENCH_kernel_throughput.json records the measurement; the kernel
-    # guard self-skips on hardware with no SIMD kernel).
+    # (BENCH_kernel_throughput.json under the build dir records the
+    # measurement, as in CI, so the committed copy at the repository root
+    # is never overwritten; the kernel guard self-skips on hardware with
+    # no SIMD kernel).
     # BITPUSH_OBS_BENCH_JSON captures the obs-overhead guard's two paths
     # (metrics timer, event ring) as a machine-readable artifact.
-    BITPUSH_KERNEL_BENCH_JSON="BENCH_kernel_throughput.json" \
+    BITPUSH_KERNEL_BENCH_JSON="$BUILD_DIR/BENCH_kernel_throughput.json" \
     BITPUSH_OBS_BENCH_JSON="$BUILD_DIR/BENCH_obs_overhead.json" \
       "$b" --benchmark_out="$BUILD_DIR/BENCH_micro_throughput.json" \
       --benchmark_out_format=json

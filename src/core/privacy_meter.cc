@@ -2,13 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "rng/keyed.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
 namespace bitpush {
+namespace {
+
+// The table's first size; it doubles whenever an insert would push the
+// load past 1/2.
+constexpr size_t kMinRows = 16;
+
+}  // namespace
 
 void PrivacyMeter::RefreshObsGauges() const {
   if (!obs::Enabled()) return;
@@ -31,7 +40,7 @@ void PrivacyMeter::RefreshObsGauges() const {
 
 void PrivacyMeter::NoteChargeOutcome(int64_t value_id, bool granted) {
   if (!obs::Enabled()) return;
-  uint8_t& mask = announced_[value_id];
+  uint8_t& mask = columns_[ColumnIndex(value_id)].announced;
   const uint8_t bit = granted ? 1 : 2;
   if ((mask & bit) != 0) return;
   mask |= bit;
@@ -51,6 +60,88 @@ PrivacyMeter::PrivacyMeter(MeterPolicy policy) : policy_(policy) {
   BITPUSH_CHECK_GE(policy_.max_bits_per_value, 1);
   BITPUSH_CHECK_GE(policy_.max_bits_per_client, 1);
   BITPUSH_CHECK_GT(policy_.max_epsilon_per_client, 0.0);
+}
+
+size_t PrivacyMeter::Home(int64_t client_id) const {
+  return static_cast<size_t>(Mix(static_cast<uint64_t>(client_id))) &
+         (rows_.size() - 1);
+}
+
+size_t PrivacyMeter::FindRow(int64_t client_id) const {
+  if (rows_.empty()) return kNoRow;
+  const size_t mask = rows_.size() - 1;
+  for (size_t pos = Home(client_id);; pos = (pos + 1) & mask) {
+    const Row& row = rows_[pos];
+    if (row.bits < 0) return kNoRow;
+    if (row.client_id == client_id) return pos;
+  }
+}
+
+size_t PrivacyMeter::FindOrInsertRow(int64_t client_id) {
+  const size_t found = FindRow(client_id);
+  if (found != kNoRow) return found;
+  if (2 * (live_rows_ + 1) > rows_.size()) {
+    Rehash(std::max(kMinRows, 2 * rows_.size()));
+  }
+  const size_t mask = rows_.size() - 1;
+  size_t pos = Home(client_id);
+  while (rows_[pos].bits >= 0) pos = (pos + 1) & mask;
+  rows_[pos] = Row{client_id, 0, 0.0};
+  ++live_rows_;
+  return pos;
+}
+
+void PrivacyMeter::Rehash(size_t capacity) {
+  std::vector<Row> old_rows = std::move(rows_);
+  rows_.assign(capacity, Row{});
+  const size_t mask = capacity - 1;
+  std::vector<size_t> moved_to(old_rows.size(), kNoRow);
+  for (size_t from = 0; from < old_rows.size(); ++from) {
+    if (old_rows[from].bits < 0) continue;
+    size_t pos = Home(old_rows[from].client_id);
+    while (rows_[pos].bits >= 0) pos = (pos + 1) & mask;
+    rows_[pos] = old_rows[from];
+    moved_to[from] = pos;
+  }
+  for (ValueColumn& column : columns_) {
+    if (column.counts.empty()) continue;
+    std::vector<int64_t> counts(capacity, 0);
+    for (size_t from = 0; from < old_rows.size(); ++from) {
+      if (moved_to[from] != kNoRow) {
+        counts[moved_to[from]] = column.counts[from];
+      }
+    }
+    column.counts = std::move(counts);
+  }
+}
+
+size_t PrivacyMeter::ColumnIndex(int64_t value_id) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (columns_[c].value_id == value_id) return c;
+  }
+  columns_.push_back(ValueColumn{value_id, 0, {}});
+  return columns_.size() - 1;
+}
+
+const PrivacyMeter::ValueColumn* PrivacyMeter::FindColumn(
+    int64_t value_id) const {
+  for (const ValueColumn& column : columns_) {
+    if (column.value_id == value_id) return &column;
+  }
+  return nullptr;
+}
+
+void PrivacyMeter::Prefetch(int64_t client_id, int64_t value_id) const {
+  if (rows_.empty()) return;
+  const size_t home = Home(client_id);
+  // A 24-byte row can straddle two cache lines: touch both ends.
+  const Row* row = &rows_[home];
+  __builtin_prefetch(row, /*rw=*/1);
+  __builtin_prefetch(reinterpret_cast<const char*>(row + 1) - 1, /*rw=*/1);
+  const ValueColumn* column = FindColumn(value_id);
+  if (column != nullptr && !column->counts.empty()) {
+    __builtin_prefetch(&column->counts[home], /*rw=*/1);
+  }
 }
 
 bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
@@ -75,14 +166,18 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
       return *replayed;
     }
   }
-  ClientLedger* ledger = nullptr;
+  size_t pos = kNoRow;
+  size_t column = 0;
   bool granted = false;
   if (valid_epsilon) {
-    ledger = &ledgers_[client_id];
-    const int64_t value_bits = ledger->bits_per_value[value_id];
+    pos = FindOrInsertRow(client_id);
+    column = ColumnIndex(value_id);
+    const std::vector<int64_t>& counts = columns_[column].counts;
+    const int64_t value_bits = counts.empty() ? 0 : counts[pos];
+    const Row& row = rows_[pos];
     granted = value_bits + 1 <= policy_.max_bits_per_value &&
-              ledger->bits + 1 <= policy_.max_bits_per_client &&
-              ledger->epsilon + epsilon <= policy_.max_epsilon_per_client;
+              row.bits + 1 <= policy_.max_bits_per_client &&
+              row.epsilon + epsilon <= policy_.max_epsilon_per_client;
   }
   if (journal_ != nullptr) {
     // Write-ahead: persist the decision before applying it, so a crash
@@ -95,9 +190,12 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
     if (!replay_quiet_) NoteChargeOutcome(value_id, false);
     return false;
   }
-  ++ledger->bits_per_value[value_id];
-  ++ledger->bits;
-  ledger->epsilon += epsilon;
+  std::vector<int64_t>& counts = columns_[column].counts;
+  if (counts.empty()) counts.assign(rows_.size(), 0);
+  ++counts[pos];
+  Row& row = rows_[pos];
+  ++row.bits;
+  row.epsilon += epsilon;
   ++total_bits_;
   total_epsilon_ += epsilon;
   RefreshObsGauges();
@@ -106,20 +204,20 @@ bool PrivacyMeter::TryChargeBit(int64_t client_id, int64_t value_id,
 }
 
 int64_t PrivacyMeter::ClientBits(int64_t client_id) const {
-  const auto it = ledgers_.find(client_id);
-  return it == ledgers_.end() ? 0 : it->second.bits;
+  const size_t pos = FindRow(client_id);
+  return pos == kNoRow ? 0 : rows_[pos].bits;
 }
 
 double PrivacyMeter::ClientEpsilon(int64_t client_id) const {
-  const auto it = ledgers_.find(client_id);
-  return it == ledgers_.end() ? 0.0 : it->second.epsilon;
+  const size_t pos = FindRow(client_id);
+  return pos == kNoRow ? 0.0 : rows_[pos].epsilon;
 }
 
 int64_t PrivacyMeter::ValueBits(int64_t client_id, int64_t value_id) const {
-  const auto it = ledgers_.find(client_id);
-  if (it == ledgers_.end()) return 0;
-  const auto vit = it->second.bits_per_value.find(value_id);
-  return vit == it->second.bits_per_value.end() ? 0 : vit->second;
+  const size_t pos = FindRow(client_id);
+  const ValueColumn* column = FindColumn(value_id);
+  if (pos == kNoRow || column == nullptr || column->counts.empty()) return 0;
+  return column->counts[pos];
 }
 
 void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
@@ -131,31 +229,37 @@ void PrivacyMeter::EncodeTo(std::vector<uint8_t>* out) const {
   bytes::PutInt64(denied_charges_, out);
 
   // Canonical form: sorted ids, zero entries omitted. Denied attempts leave
-  // behind zero-count map entries in memory; dropping them here makes
-  // "same ledger" mean "same bytes" regardless of how the state was reached
-  // (live run, journal replay, or snapshot restore).
-  std::vector<int64_t> client_ids;
-  client_ids.reserve(ledgers_.size());
-  for (const auto& [client_id, ledger] : ledgers_) {
-    if (ledger.bits > 0 || ledger.epsilon > 0.0) client_ids.push_back(client_id);
-  }
-  std::sort(client_ids.begin(), client_ids.end());
-  bytes::PutUint32(static_cast<uint32_t>(client_ids.size()), out);
-  for (const int64_t client_id : client_ids) {
-    const ClientLedger& ledger = ledgers_.at(client_id);
-    bytes::PutInt64(client_id, out);
-    bytes::PutInt64(ledger.bits, out);
-    bytes::PutDouble(ledger.epsilon, out);
-    std::vector<int64_t> value_ids;
-    value_ids.reserve(ledger.bits_per_value.size());
-    for (const auto& [value_id, bits] : ledger.bits_per_value) {
-      if (bits > 0) value_ids.push_back(value_id);
+  // behind zero-count rows in memory; dropping them here makes "same
+  // ledger" mean "same bytes" regardless of how the state was reached
+  // (live run, journal replay, or snapshot restore) or of the table's
+  // probe order.
+  std::vector<std::pair<int64_t, size_t>> clients;  // (client id, row)
+  clients.reserve(live_rows_);
+  for (size_t pos = 0; pos < rows_.size(); ++pos) {
+    const Row& row = rows_[pos];
+    if (row.bits > 0 || row.epsilon > 0.0) {
+      clients.emplace_back(row.client_id, pos);
     }
-    std::sort(value_ids.begin(), value_ids.end());
-    bytes::PutUint32(static_cast<uint32_t>(value_ids.size()), out);
-    for (const int64_t value_id : value_ids) {
+  }
+  std::sort(clients.begin(), clients.end());
+  bytes::PutUint32(static_cast<uint32_t>(clients.size()), out);
+  std::vector<std::pair<int64_t, int64_t>> values;  // (value id, bits)
+  for (const auto& [client_id, pos] : clients) {
+    const Row& row = rows_[pos];
+    bytes::PutInt64(client_id, out);
+    bytes::PutInt64(row.bits, out);
+    bytes::PutDouble(row.epsilon, out);
+    values.clear();
+    for (const ValueColumn& column : columns_) {
+      if (!column.counts.empty() && column.counts[pos] > 0) {
+        values.emplace_back(column.value_id, column.counts[pos]);
+      }
+    }
+    std::sort(values.begin(), values.end());
+    bytes::PutUint32(static_cast<uint32_t>(values.size()), out);
+    for (const auto& [value_id, bits] : values) {
       bytes::PutInt64(value_id, out);
-      bytes::PutInt64(ledger.bits_per_value.at(value_id), out);
+      bytes::PutInt64(bits, out);
     }
   }
 }
@@ -183,26 +287,36 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
       denied_charges < 0) {
     return false;
   }
-  std::unordered_map<int64_t, ClientLedger> ledgers;
-  ledgers.reserve(client_count);
+  // The ledger is rebuilt off to the side and moved in only once the whole
+  // snapshot has validated. It grows row by row, so a forged client count
+  // cannot size it beyond the entries actually present.
+  PrivacyMeter restored(policy);
   int64_t ledger_bit_sum = 0;
   double ledger_epsilon_sum = 0.0;
+  std::vector<int64_t> value_ids;
   for (uint32_t c = 0; c < client_count; ++c) {
     int64_t client_id = 0;
-    ClientLedger ledger;
+    int64_t client_bits = 0;
+    double client_epsilon = 0.0;
     uint32_t value_count = 0;
     if (!bytes::GetInt64(buffer, &cursor, &client_id) ||
-        !bytes::GetInt64(buffer, &cursor, &ledger.bits) ||
-        !bytes::GetDouble(buffer, &cursor, &ledger.epsilon) ||
+        !bytes::GetInt64(buffer, &cursor, &client_bits) ||
+        !bytes::GetDouble(buffer, &cursor, &client_epsilon) ||
         !bytes::GetUint32(buffer, &cursor, &value_count)) {
       return false;
     }
-    if (ledger.bits < 0 || !std::isfinite(ledger.epsilon) ||
-        ledger.epsilon < 0.0) {
+    if (client_bits < 0 || !std::isfinite(client_epsilon) ||
+        client_epsilon < 0.0) {
       return false;
     }
+    if (restored.FindRow(client_id) != kNoRow) {
+      return false;  // duplicate client entry
+    }
+    const size_t pos = restored.FindOrInsertRow(client_id);
+    restored.rows_[pos].bits = client_bits;
+    restored.rows_[pos].epsilon = client_epsilon;
     int64_t value_bit_sum = 0;
-    ledger.bits_per_value.reserve(value_count);
+    value_ids.clear();
     for (uint32_t v = 0; v < value_count; ++v) {
       int64_t value_id = 0;
       int64_t bits = 0;
@@ -210,23 +324,35 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
           !bytes::GetInt64(buffer, &cursor, &bits)) {
         return false;
       }
-      if (bits < 0 || !ledger.bits_per_value.emplace(value_id, bits).second) {
-        return false;  // negative count or duplicate value entry
-      }
+      if (bits < 0) return false;  // negative count
+      value_ids.push_back(value_id);
       value_bit_sum += bits;
+      // A zero-bit entry reads the same as no entry: only a positive count
+      // needs (and allocates) a column.
+      if (bits > 0) {
+        std::vector<int64_t>& counts =
+            restored.columns_[restored.ColumnIndex(value_id)].counts;
+        if (counts.empty()) counts.assign(restored.rows_.size(), 0);
+        counts[pos] = bits;
+      }
+    }
+    // A value listed twice is malformed whatever its counts, zero included.
+    std::sort(value_ids.begin(), value_ids.end());
+    if (std::adjacent_find(value_ids.begin(), value_ids.end()) !=
+        value_ids.end()) {
+      return false;  // duplicate value entry
     }
     // Consistency: per-value bits must account for the client total.
-    if (value_bit_sum != ledger.bits) return false;
-    ledger_bit_sum += ledger.bits;
-    ledger_epsilon_sum += ledger.epsilon;
-    if (!ledgers.emplace(client_id, std::move(ledger)).second) {
-      return false;  // duplicate client entry
-    }
+    if (value_bit_sum != client_bits) return false;
+    ledger_bit_sum += client_bits;
+    ledger_epsilon_sum += client_epsilon;
   }
   if (ledger_bit_sum != total_bits) return false;
 
   out->policy_ = policy;
-  out->ledgers_ = std::move(ledgers);
+  out->rows_ = std::move(restored.rows_);
+  out->live_rows_ = restored.live_rows_;
+  out->columns_ = std::move(restored.columns_);
   out->total_bits_ = total_bits;
   // Recomputed in the canonical (sorted-client) encoding order; may differ
   // from a live run's charge-order sum by FP rounding, which is why the
@@ -234,16 +360,11 @@ bool PrivacyMeter::DecodeFrom(const std::vector<uint8_t>& buffer,
   // (replay re-charges in the original order).
   out->total_epsilon_ = ledger_epsilon_sum;
   out->denied_charges_ = denied_charges;
-  // Values restored from a snapshot are marked fully announced: their
-  // first grant / first denial happened before the snapshot, and
-  // re-announcing them would fabricate flight-recorder events the
-  // original run never emitted.
-  out->announced_.clear();
-  for (const auto& [client_id, ledger] : out->ledgers_) {
-    for (const auto& [value_id, bits] : ledger.bits_per_value) {
-      if (bits > 0) out->announced_[value_id] = 3;
-    }
-  }
+  // Values restored from a snapshot (every column: only positive counts
+  // made one) are marked fully announced: their first grant / first denial
+  // happened before the snapshot, and re-announcing them would fabricate
+  // flight-recorder events the original run never emitted.
+  for (ValueColumn& column : out->columns_) column.announced = 3;
   out->RefreshObsGauges();
   *offset = cursor;
   return true;

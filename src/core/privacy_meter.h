@@ -13,14 +13,19 @@
 // (a) a Journal hook through which every charge attempt is write-ahead
 // logged (and replayed exactly-once on recovery), and (b) canonical
 // EncodeTo/DecodeFrom serialization for snapshots (src/persist/).
+//
+// Layout: every report pays one charge, so the ledger is the collection
+// tick's hot path. It is one flat open-addressing table (no allocation per
+// client; see DESIGN.md §2, "A flat privacy ledger") that a caller can
+// Prefetch a few clients ahead of the charge.
 
 #ifndef BITPUSH_CORE_PRIVACY_METER_H_
 #define BITPUSH_CORE_PRIVACY_METER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace bitpush {
@@ -99,6 +104,11 @@ class PrivacyMeter {
   // Number of charges rejected by a cap (or by an invalid epsilon).
   int64_t denied_charges() const { return denied_charges_; }
 
+  // Cache hint, no effect on the ledger: starts loading the memory a
+  // TryChargeBit(client_id, value_id, ...) will touch, so a caller walking
+  // a cohort can overlap the next clients' misses with this one's charge.
+  void Prefetch(int64_t client_id, int64_t value_id) const;
+
   const MeterPolicy& policy() const { return policy_; }
 
   // Canonical serialization of policy + full ledger (clients and values in
@@ -112,11 +122,42 @@ class PrivacyMeter {
                          PrivacyMeter* out);
 
  private:
-  struct ClientLedger {
-    int64_t bits = 0;
+  // One ledger row per client charged with a valid epsilon, in a
+  // power-of-two open-addressing table (linear probing from the Mix hash
+  // of the id, load at most 1/2). Client ids span all of int64, so no id
+  // can mark a free row: bits < 0 does.
+  struct Row {
+    int64_t client_id = 0;
+    int64_t bits = -1;
     double epsilon = 0.0;
-    std::unordered_map<int64_t, int64_t> bits_per_value;
   };
+  // Per-value bit counts for one value id, aligned to the rows:
+  // counts[pos] is what rows_[pos]'s client disclosed about this value.
+  // `counts` stays empty (all zero) until the value's first grant, so a
+  // value seen only in denials costs no table-sized column.
+  struct ValueColumn {
+    int64_t value_id = 0;
+    // Flight-recorder latches (NoteChargeOutcome): bit 0 = first grant
+    // announced, bit 1 = first denial announced. Not serialized —
+    // DecodeFrom marks restored values fully announced (snapshot-restored
+    // history is outside the stable-event replay contract anyway).
+    uint8_t announced = 0;
+    std::vector<int64_t> counts;
+  };
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
+
+  size_t Home(int64_t client_id) const;
+  // Position of `client_id`'s row, or kNoRow.
+  size_t FindRow(int64_t client_id) const;
+  // Position of `client_id`'s row, inserting an empty-ledger row (and
+  // growing the table) when there is none.
+  size_t FindOrInsertRow(int64_t client_id);
+  // Re-places every row in a table of `capacity` rows (a power of two)
+  // and permutes the value columns to match.
+  void Rehash(size_t capacity);
+  // Index into columns_ of `value_id`'s column, appending one if needed.
+  size_t ColumnIndex(int64_t value_id);
+  const ValueColumn* FindColumn(int64_t value_id) const;
 
   // Publishes the ledger totals as obs gauges (core/privacy_meter.cc);
   // called after every ledger mutation and after DecodeFrom so live,
@@ -132,17 +173,16 @@ class PrivacyMeter {
   void NoteChargeOutcome(int64_t value_id, bool granted);
 
   MeterPolicy policy_;
-  std::unordered_map<int64_t, ClientLedger> ledgers_;
+  std::vector<Row> rows_;
+  size_t live_rows_ = 0;
+  // One column per value id seen; campaigns query a handful of values, so
+  // a linear scan finds one.
+  std::vector<ValueColumn> columns_;
   int64_t total_bits_ = 0;
   double total_epsilon_ = 0.0;
   int64_t denied_charges_ = 0;
   Journal* journal_ = nullptr;
   bool replay_quiet_ = false;
-  // Per-value announcement latches: bit 0 = grant announced, bit 1 =
-  // denial announced. Not serialized — DecodeFrom conservatively marks
-  // restored values fully announced (snapshot-restored history is outside
-  // the stable-event replay contract anyway).
-  std::unordered_map<int64_t, uint8_t> announced_;
 };
 
 }  // namespace bitpush

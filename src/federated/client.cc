@@ -17,8 +17,15 @@ enum ClientCoin : uint64_t {
 }  // namespace
 
 Client::Client(int64_t id, std::vector<double> values, ClientConfig config)
-    : id_(id), values_(std::move(values)), config_(config) {
-  BITPUSH_CHECK(!values_.empty());
+    : Client(SingleValue{}, id, values.empty() ? 0.0 : values.front(),
+             config) {
+  BITPUSH_CHECK(!values.empty());
+  more_values_.assign(values.begin() + 1, values.end());
+}
+
+Client::Client(SingleValue, int64_t id, double value,
+               const ClientConfig& config)
+    : id_(id), first_value_(value), config_(config) {
   BITPUSH_CHECK_GE(config_.dropout_probability, 0.0);
   BITPUSH_CHECK_LE(config_.dropout_probability, 1.0);
 }
@@ -26,20 +33,23 @@ Client::Client(int64_t id, std::vector<double> values, ClientConfig config)
 double Client::SelectValue(uint64_t coin_key, int64_t round_id) const {
   switch (config_.value_policy) {
     case ValuePolicy::kSampleOne: {
-      if (values_.size() == 1) return values_.front();
+      if (more_values_.empty()) return first_value_;
       // Multiply-high maps the 64-bit coin onto [0, size) (Lemire 2019);
       // the bias is at most size / 2^64.
       const uint64_t coin = KeyedHash(coin_key, round_id, id_, kSelectCoin);
-      return values_[static_cast<size_t>(
-          (static_cast<unsigned __int128>(coin) * values_.size()) >> 64)];
+      const size_t pick = static_cast<size_t>(
+          (static_cast<unsigned __int128>(coin) * (1 + more_values_.size())) >>
+          64);
+      return pick == 0 ? first_value_ : more_values_[pick - 1];
     }
     case ValuePolicy::kLocalMean: {
       Welford acc;
-      for (const double v : values_) acc.Add(v);
+      acc.Add(first_value_);
+      for (const double v : more_values_) acc.Add(v);
       return acc.mean();
     }
     case ValuePolicy::kFirstValue:
-      return values_.front();
+      return first_value_;
   }
   BITPUSH_CHECK(false) << "unreachable";
   return 0.0;
@@ -85,8 +95,9 @@ std::vector<Client> MakePopulation(const std::vector<double>& values,
   std::vector<Client> clients;
   clients.reserve(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    clients.emplace_back(static_cast<int64_t>(i),
-                         std::vector<double>{values[i]}, config);
+    clients.push_back(
+        Client(Client::SingleValue{}, static_cast<int64_t>(i), values[i],
+               config));
   }
   return clients;
 }

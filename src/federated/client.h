@@ -49,7 +49,6 @@ class Client {
   Client(int64_t id, std::vector<double> values, ClientConfig config);
 
   int64_t id() const { return id_; }
-  const std::vector<double>& values() const { return values_; }
   const ClientConfig& config() const { return config_; }
 
   // The value this client contributes in round `round_id` of the query
@@ -69,8 +68,20 @@ class Client {
                                          uint64_t coin_key) const;
 
  private:
+  friend std::vector<Client> MakePopulation(const std::vector<double>& values,
+                                            const ClientConfig& config);
+  // A single-value client, built without a heap block. The tag keeps
+  // this overload out of brace-initialized calls like Client(id, {v}, c).
+  struct SingleValue {};
+  Client(SingleValue, int64_t id, double value, const ClientConfig& config);
+
+  // The first value sits inline, so a single-value client (every client a
+  // population of scalars holds) is one flat object: a round touches it
+  // with one fetch and no pointer chase. Only a multi-value client fills
+  // `more_values_` with its second and later values.
   int64_t id_;
-  std::vector<double> values_;
+  double first_value_;
+  std::vector<double> more_values_;
   ClientConfig config_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/bit_probabilities.h"
 #include "federated/obs_hooks.h"
@@ -18,6 +17,12 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
                                            const FederatedQueryConfig& config,
                                            PrivacyMeter* meter, Rng& rng) {
   BITPUSH_CHECK_EQ(config.adaptive.bits, codec.bits());
+  // Each client answers one bit request per query (docs/PROTOCOL.md);
+  // the b_send > 1 variant exists only in the core simulation.
+  BITPUSH_CHECK_EQ(config.adaptive.bits_per_client, 1)
+      << "federated queries disclose one bit per client; "
+         "AdaptiveConfig::bits_per_client > 1 is supported only by "
+         "RunAdaptiveBitPushing";
   BITPUSH_CHECK_GT(config.adaptive.delta, 0.0);
   BITPUSH_CHECK_LT(config.adaptive.delta, 1.0);
 
@@ -167,17 +172,16 @@ FederatedQueryResult RunFederatedMeanQuery(const std::vector<Client>& clients,
   result.round2_probabilities = round2_probabilities;
 
   // Round 2 over the remaining cohort. Clients that crashed after their
-  // round-1 assignment re-check-in here; the server's dedup (keyed on
-  // every id round 1 assigned, backfill included) rejects them, so no
-  // client is ever assigned twice in one query.
+  // round-1 assignment re-check-in here; the server's dedup (a bitmap of
+  // every population slot round 1 assigned, backfill included) rejects
+  // them, so no client is ever assigned twice in one query.
   std::vector<int64_t> cohort2_full = cohort2;
   cohort2_full.insert(cohort2_full.end(),
                       result.round1.crashed_clients.begin(),
                       result.round1.crashed_clients.end());
-  std::unordered_set<int64_t> assigned_round1;
-  assigned_round1.reserve(result.round1.assigned_clients.size());
+  std::vector<bool> assigned_round1(clients.size());
   for (const int64_t idx : result.round1.assigned_clients) {
-    assigned_round1.insert(clients[static_cast<size_t>(idx)].id());
+    assigned_round1[static_cast<size_t>(idx)] = true;
   }
   RoundConfig round2_config = round1_config;
   round2_config.probabilities = round2_probabilities;

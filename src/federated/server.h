@@ -6,7 +6,6 @@
 #define BITPUSH_FEDERATED_SERVER_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/bit_pushing.h"
@@ -45,10 +44,12 @@ struct RoundConfig {
   // Replacement clients (indices into `clients`), drawn in order by the
   // backfill passes when accepted reports fall short of the cohort.
   std::vector<int64_t> backfill_pool;
-  // Client ids assigned in an earlier round of the same query. Their
+  // Clients assigned in an earlier round of the same query, as a bitmap
+  // over population slots: bit idx set means clients[idx] was assigned
+  // (a population holds each id once, so a slot names a client). Their
   // check-ins are rejected and counted (the crash-recheckin dedup policy:
   // at most one assignment per client per query).
-  const std::unordered_set<int64_t>* already_assigned = nullptr;
+  const std::vector<bool>* already_assigned = nullptr;
   // Durability hook (nullptr disables journaling): receives assignment and
   // accepted-report events as they happen; see federated/persist_hooks.h.
   QueryRecorder* recorder = nullptr;
@@ -80,7 +81,7 @@ struct RoundOutcome {
   // Injected-fault and server-reaction counters for this round.
   FaultStats faults;
   // Indices (into `clients`) that were issued an assignment this round,
-  // including backfill replacements; feeds the next round's dedup set.
+  // including backfill replacements; feeds the next round's dedup bitmap.
   std::vector<int64_t> assigned_clients;
   // Indices that crashed after assignment (kRoundBoundaryCrash) — the
   // clients that will attempt to re-check-in next round.

@@ -200,7 +200,9 @@ TEST(ClientTest, MakePopulationBuildsSingleValueClients) {
       MakePopulation({5.0, 6.0, 7.0}, ClientConfig{});
   ASSERT_EQ(clients.size(), 3u);
   EXPECT_EQ(clients[1].id(), 1);
-  EXPECT_EQ(clients[2].values(), (std::vector<double>{7.0}));
+  // A single-value client contributes its value under any coin key.
+  EXPECT_EQ(clients[2].SelectValue(/*coin_key=*/0, /*round_id=*/1), 7.0);
+  EXPECT_EQ(clients[2].SelectValue(/*coin_key=*/99, /*round_id=*/2), 7.0);
 }
 
 TEST(ClientDeathTest, InvalidConstructionAborts) {

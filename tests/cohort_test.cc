@@ -33,7 +33,9 @@ TEST(CohortTest, EligibilityFilterApplies) {
   bool below = true;
   const std::vector<int64_t> cohort = SelectCohort(
       clients,
-      [](const Client& c) { return c.values().front() >= 5.0; },
+      [](const Client& c) {
+        return c.SelectValue(/*coin_key=*/0, /*round_id=*/0) >= 5.0;
+      },
       CohortPolicy{}, rng, &below);
   EXPECT_FALSE(below);
   EXPECT_EQ(cohort.size(), 5u);
@@ -49,7 +51,10 @@ TEST(CohortTest, MinimumCohortSizeAborts) {
   policy.min_cohort_size = 8;
   bool below = false;
   const std::vector<int64_t> cohort = SelectCohort(
-      clients, [](const Client& c) { return c.values().front() < 5.0; },
+      clients,
+      [](const Client& c) {
+        return c.SelectValue(/*coin_key=*/0, /*round_id=*/0) < 5.0;
+      },
       policy, rng, &below);
   EXPECT_TRUE(below);
   EXPECT_TRUE(cohort.empty());

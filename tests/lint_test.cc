@@ -21,11 +21,14 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "analysis_core/index.h"
+#include "analysis_core/source_model.h"
 #include "bitpush_lint/lint.h"
 
 namespace bitpush::lint {
@@ -403,6 +406,29 @@ TEST(LintDataflowTest, WaivedTreeSuppressesAllThreeShapes) {
   const std::string report = FormatWaiverReport(result);
   EXPECT_NE(report.find("3 waiver(s) in budget"), std::string::npos)
       << report;
+}
+
+// The include graph behind callee resolution: in dataflow/bad/, sink.cc
+// and producer.cc both include federated/producer.h (resolved under src/),
+// and nothing else in the tree includes a tree file.
+TEST(LintDataflowTest, IncludeClosureFollowsQuotedIncludes) {
+  analysis::TreeLoadResult tree =
+      analysis::LoadTree(FixtureRoot("dataflow/bad"));
+  ASSERT_FALSE(tree.io_error) << tree.io_error_message;
+  const analysis::Index index = analysis::BuildIndex(std::move(tree.files));
+  std::map<std::string, std::set<std::string>> reachable;
+  for (size_t i = 0; i < index.files.size(); ++i) {
+    for (const int j : index.reachable[i]) {
+      if (j != static_cast<int>(i)) {
+        reachable[index.files[i].rel_path].insert(index.files[j].rel_path);
+      }
+    }
+  }
+  const std::map<std::string, std::set<std::string>> expected = {
+      {"src/federated/producer.cc", {"src/federated/producer.h"}},
+      {"src/federated/sink.cc", {"src/federated/producer.h"}},
+  };
+  EXPECT_EQ(reachable, expected);
 }
 
 TEST(LintDataflowTest, ReportIsByteIdenticalAcrossRuns) {

@@ -686,8 +686,10 @@ TEST(PropDifferentialTest, CoreAndFederatedAlgorithm2AgreeBitForBit) {
         std::vector<uint64_t> codewords1;
         std::vector<uint64_t> codewords2;
         for (size_t i = 0; i < cohort.size(); ++i) {
-          const double value =
-              clients[static_cast<size_t>(cohort[i])].values().front();
+          // Single-value clients contribute their value under any coin.
+          const double value = clients[static_cast<size_t>(cohort[i])]
+                                   .SelectValue(/*coin_key=*/0,
+                                                /*round_id=*/0);
           (static_cast<int64_t>(i) < n1 ? codewords1 : codewords2)
               .push_back(codec.Encode(value));
         }

@@ -34,6 +34,7 @@
 #include "ldp/randomized_response.h"
 #include "prop/bitprop.h"
 #include "rng/rng.h"
+#include "util/bytes.h"
 
 namespace bitpush {
 namespace {
@@ -472,7 +473,11 @@ TEST(PropInvariantsTest, SecureAggMasksCancelToExactSum) {
 // ---------------------------------------------------------------------------
 // Privacy meter: budget conservation under random charge/deny sequences,
 // checked against an independent reference model of the §1.1 caps, plus
-// canonical serialization round-trip.
+// canonical serialization round-trip. The ledger is an open-addressing
+// table, so the client ids come from families that stress it: a few small
+// ids, dense and strided runs, multiples of 2^20 of both signs, the int64
+// extremes, and (in growth cases) enough distinct clients to make the
+// table double several times while value ids interleave.
 
 struct ChargeOp {
   int64_t client = 0;
@@ -487,12 +492,48 @@ struct ChargeOp {
   }
 };
 
+// Selectors 0..4 are valid epsilons; 5..7 are denied before any ledger
+// row exists.
+constexpr uint64_t kValidEpsilonChoices = 5;
+constexpr uint64_t kEpsilonChoices = 8;
+
+enum class MeterIdFamily { kSmall, kDense, kStrided, kPow2x20, kExtremes };
+constexpr uint64_t kMeterIdFamilies = 5;
+
+// The k-th client id of a family (k >= 0). Distinct k give distinct ids.
+int64_t MeterClientId(MeterIdFamily family, int64_t k) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  switch (family) {
+    case MeterIdFamily::kSmall:
+    case MeterIdFamily::kDense:
+      return k;
+    case MeterIdFamily::kStrided:
+      return 64 * k;
+    case MeterIdFamily::kPow2x20:
+      // 0, -2^20, 2^20, -2^21, 2^21, ...
+      return (k % 2 == 0 ? 1 : -1) * ((k + 1) / 2) * (int64_t{1} << 20);
+    case MeterIdFamily::kExtremes: {
+      const int64_t fixed[] = {kMin, kMax, -1, 0, kMin + 1, kMax - 1};
+      if (k < 6) return fixed[k];
+      // Then alternately climbing from INT64_MIN and falling from INT64_MAX.
+      const int64_t step = (k - 6) / 2 + 2;
+      return k % 2 == 0 ? kMin + step : kMax - step;
+    }
+  }
+  return k;
+}
+
 struct MeterCase {
   int64_t max_bits_per_value = 1;
   int64_t max_bits_per_client = 1;
   double max_epsilon_per_client = 1.0;
   std::vector<ChargeOp> ops;
 };
+
+// The ledger starts at 16 rows and doubles when an insert would pass load
+// 1/2, so 65 distinct charged clients force at least three doublings.
+constexpr int64_t kGrowthMinClients = 65;
 
 Domain<MeterCase> MeterDomain() {
   Domain<MeterCase> domain;
@@ -503,12 +544,34 @@ Domain<MeterCase> MeterDomain() {
     const double epsilon_caps[] = {0.5, 1.0, 4.0,
                                    std::numeric_limits<double>::infinity()};
     c.max_epsilon_per_client = epsilon_caps[rng.NextBelow(4)];
-    const size_t n = 1 + static_cast<size_t>(rng.NextBelow(64));
+    const auto family =
+        static_cast<MeterIdFamily>(rng.NextBelow(kMeterIdFamilies));
+    const bool growth = rng.NextBelow(4) == 0;
+    int64_t clients = 4;
+    if (growth) {
+      clients = kGrowthMinClients + static_cast<int64_t>(rng.NextBelow(100));
+    } else if (family != MeterIdFamily::kSmall) {
+      clients = 1 + static_cast<int64_t>(rng.NextBelow(48));
+    }
+    const size_t n =
+        growth ? static_cast<size_t>(2 * clients) +
+                     static_cast<size_t>(rng.NextBelow(
+                         static_cast<uint64_t>(clients)))
+               : 1 + static_cast<size_t>(rng.NextBelow(64));
     c.ops.resize(n);
-    for (ChargeOp& op : c.ops) {
-      op.client = static_cast<int64_t>(rng.NextBelow(4));
+    for (size_t i = 0; i < n; ++i) {
+      ChargeOp& op = c.ops[i];
+      // Growth cases first charge every client once with a valid epsilon,
+      // so each one takes a row; value ids interleave throughout.
+      const bool first_pass = growth && static_cast<int64_t>(i) < clients;
+      const int64_t k =
+          first_pass ? static_cast<int64_t>(i)
+                     : static_cast<int64_t>(
+                           rng.NextBelow(static_cast<uint64_t>(clients)));
+      op.client = MeterClientId(family, k);
       op.value = static_cast<int64_t>(rng.NextBelow(6));
-      op.epsilon_selector = static_cast<int64_t>(rng.NextBelow(8));
+      op.epsilon_selector = static_cast<int64_t>(rng.NextBelow(
+          first_pass ? kValidEpsilonChoices : kEpsilonChoices));
     }
     return c;
   };
@@ -578,6 +641,83 @@ struct MeterModel {
   int64_t denied = 0;
 };
 
+// Snapshot malformations DecodeFrom must reject. Each keeps every sum
+// consistent, so the duplicate itself is the only defect.
+enum class LedgerDefect {
+  kNone,
+  kDuplicateClient,        // one client entry listed twice
+  kDuplicateZeroValue,     // a never-charged value listed twice, zero bits
+  kZeroCopyOfChargedValue  // a charged value listed again with zero bits
+};
+
+// The canonical snapshot encoding of the model's ledger, written from the
+// documented format (sorted ids, zero entries omitted) rather than by
+// PrivacyMeter::EncodeTo, with `defect` planted. Returns false when the
+// ledger has no client entry to plant a defect in.
+bool EncodeModelLedger(const MeterModel& model, LedgerDefect defect,
+                       std::vector<uint8_t>* out) {
+  struct Entry {
+    int64_t client = 0;
+    int64_t bits = 0;
+    double epsilon = 0.0;
+    std::vector<std::pair<int64_t, int64_t>> values;
+  };
+  std::vector<Entry> entries;
+  for (const auto& [client, bits] : model.bits_per_client) {
+    const double epsilon = model.epsilon_per_client.at(client);
+    if (bits == 0 && epsilon == 0.0) continue;
+    Entry entry{client, bits, epsilon, {}};
+    for (auto it = model.bits_per_value.lower_bound(
+             {client, std::numeric_limits<int64_t>::min()});
+         it != model.bits_per_value.end() && it->first.first == client;
+         ++it) {
+      if (it->second > 0) {
+        entry.values.emplace_back(it->first.second, it->second);
+      }
+    }
+    entries.push_back(std::move(entry));
+  }
+  int64_t total_bits = model.total_bits;
+  if (defect != LedgerDefect::kNone) {
+    if (entries.empty() || entries.front().values.empty()) return false;
+    Entry& first = entries.front();
+    switch (defect) {
+      case LedgerDefect::kDuplicateClient:
+        total_bits += first.bits;
+        entries.push_back(first);
+        break;
+      case LedgerDefect::kDuplicateZeroValue:
+        // Charged value ids are 0..5; 1000 never is.
+        first.values.emplace_back(1000, 0);
+        first.values.emplace_back(1000, 0);
+        break;
+      case LedgerDefect::kZeroCopyOfChargedValue:
+        first.values.emplace_back(first.values.front().first, 0);
+        break;
+      case LedgerDefect::kNone:
+        break;
+    }
+  }
+  out->clear();
+  bytes::PutInt64(model.policy.max_bits_per_value, out);
+  bytes::PutInt64(model.policy.max_bits_per_client, out);
+  bytes::PutDouble(model.policy.max_epsilon_per_client, out);
+  bytes::PutInt64(total_bits, out);
+  bytes::PutInt64(model.denied, out);
+  bytes::PutUint32(static_cast<uint32_t>(entries.size()), out);
+  for (const Entry& entry : entries) {
+    bytes::PutInt64(entry.client, out);
+    bytes::PutInt64(entry.bits, out);
+    bytes::PutDouble(entry.epsilon, out);
+    bytes::PutUint32(static_cast<uint32_t>(entry.values.size()), out);
+    for (const auto& [value, bits] : entry.values) {
+      bytes::PutInt64(value, out);
+      bytes::PutInt64(bits, out);
+    }
+  }
+  return true;
+}
+
 TEST(PropInvariantsTest, PrivacyMeterConservesBudgetAgainstReferenceModel) {
   CheckProperty<MeterCase>(
       "every charge decision, ledger total, and denial count matches the "
@@ -642,8 +782,9 @@ TEST(PropInvariantsTest, PrivacyMeterConservesBudgetAgainstReferenceModel) {
 
 TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
   CheckProperty<MeterCase>(
-      "EncodeTo -> DecodeFrom -> EncodeTo reproduces identical bytes and an "
-      "identical ledger",
+      "EncodeTo equals the reference model's canonical ledger bytes; "
+      "EncodeTo -> DecodeFrom -> EncodeTo reproduces them and an identical "
+      "ledger; a duplicated client or value entry fails closed",
       MeterDomain(),
       [](const MeterCase& c) -> std::optional<std::string> {
         MeterPolicy policy;
@@ -651,11 +792,18 @@ TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
         policy.max_bits_per_client = c.max_bits_per_client;
         policy.max_epsilon_per_client = c.max_epsilon_per_client;
         PrivacyMeter meter(policy);
+        MeterModel model(policy);
         for (const ChargeOp& op : c.ops) {
           meter.TryChargeBit(op.client, op.value, op.epsilon());
+          model.Charge(op.client, op.value, op.epsilon());
         }
         std::vector<uint8_t> encoded;
         meter.EncodeTo(&encoded);
+        std::vector<uint8_t> from_model;
+        EncodeModelLedger(model, LedgerDefect::kNone, &from_model);
+        if (encoded != from_model) {
+          return "EncodeTo differs from the model's canonical ledger bytes";
+        }
         PrivacyMeter decoded((MeterPolicy()));
         size_t offset = 0;
         if (!PrivacyMeter::DecodeFrom(encoded, &offset, &decoded)) {
@@ -668,15 +816,40 @@ TEST(PropInvariantsTest, PrivacyMeterSerializationRoundTripIsCanonical) {
             decoded.total_epsilon() != meter.total_epsilon()) {
           return "decoded ledger totals differ from the original";
         }
+        for (const ChargeOp& op : c.ops) {
+          if (decoded.ClientBits(op.client) != meter.ClientBits(op.client) ||
+              decoded.ClientEpsilon(op.client) !=
+                  meter.ClientEpsilon(op.client) ||
+              decoded.ValueBits(op.client, op.value) !=
+                  meter.ValueBits(op.client, op.value)) {
+            return "a decoded per-client or per-value ledger differs";
+          }
+        }
         std::vector<uint8_t> re_encoded;
         decoded.EncodeTo(&re_encoded);
         if (re_encoded != encoded) {
           return "re-encoding the decoded meter produced different bytes";
         }
+        for (const LedgerDefect defect :
+             {LedgerDefect::kDuplicateClient, LedgerDefect::kDuplicateZeroValue,
+              LedgerDefect::kZeroCopyOfChargedValue}) {
+          std::vector<uint8_t> malformed;
+          if (!EncodeModelLedger(model, defect, &malformed)) break;
+          size_t bad_offset = 0;
+          if (PrivacyMeter::DecodeFrom(malformed, &bad_offset, &decoded)) {
+            return "DecodeFrom accepted a snapshot with a duplicate entry (" +
+                   std::to_string(static_cast<int>(defect)) + ")";
+          }
+          if (bad_offset != 0) return "a rejected decode moved the offset";
+        }
+        std::vector<uint8_t> after_rejects;
+        decoded.EncodeTo(&after_rejects);
+        if (after_rejects != encoded) {
+          return "a rejected decode modified the target meter";
+        }
         return std::nullopt;
       });
 }
-
 
 // ---------------------------------------------------------------------------
 // Round tally: every accepted report is tallied exactly once. RunRound

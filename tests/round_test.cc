@@ -177,5 +177,18 @@ TEST(FederatedQueryDeathTest, BitWidthMismatchAborts) {
                "BITPUSH_CHECK failed");
 }
 
+// The federated path discloses one bit per client per query; a b_send > 1
+// config used to run silently as b_send = 1.
+TEST(FederatedQueryDeathTest, MultiBitPerClientConfigAborts) {
+  const std::vector<Client> clients =
+      MakePopulation(std::vector<double>(10, 1.0), ClientConfig{});
+  const FixedPointCodec codec = FixedPointCodec::Integer(7);
+  FederatedQueryConfig config = AgesQueryConfig();
+  config.adaptive.bits_per_client = 2;
+  Rng rng(17);
+  EXPECT_DEATH(RunFederatedMeanQuery(clients, codec, config, nullptr, rng),
+               "one bit per client");
+}
+
 }  // namespace
 }  // namespace bitpush

@@ -246,12 +246,22 @@ void BuildIncludeClosure(Index* index) {
   for (size_t i = 0; i < index->files.size(); ++i) {
     by_rel[index->files[i].rel_path] = static_cast<int>(i);
   }
+  // The lexer blanks string-literal contents on the code channel, so the
+  // quoted path is read from the raw line. The code channel still decides
+  // whether the line is a live directive: an include inside a comment
+  // blanks out there and does not count.
   static const std::regex kIncludeRe(R"re(^\s*#\s*include\s*"([^"]+)")re");
   std::vector<std::vector<int>> edges(index->files.size());
   for (size_t i = 0; i < index->files.size(); ++i) {
-    for (const std::string& code : index->files[i].code_lines) {
+    const SourceFile& file = index->files[i];
+    for (size_t li = 0; li < file.code_lines.size(); ++li) {
+      const std::string& code = file.code_lines[li];
+      if (code.find("include") == std::string::npos) continue;
       std::smatch match;
-      if (!std::regex_search(code, match, kIncludeRe)) continue;
+      if (!std::regex_search(code, match, kIncludeRe) ||
+          !std::regex_search(file.raw_lines[li], match, kIncludeRe)) {
+        continue;
+      }
       const std::string inc = match[1].str();
       // Project includes are written relative to a top-level dir (src/,
       // tools/, tests/); try each resolution in turn.
